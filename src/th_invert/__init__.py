@@ -3,6 +3,7 @@ operators T(a) + H(b) on Hardy spaces H^p, for piecewise continuous generating
 functions, cross-validated against dense finite sections."""
 
 from .analyzer import (
+    Analysis,
     FredholmReport,
     classify,
     classify_with_probing,
@@ -10,7 +11,6 @@ from .analyzer import (
     probe_limit_index,
 )
 from .calculus import (
-    GelfandParams,
     HardyExponent,
     arc,
     th_fredholm_check,
@@ -28,7 +28,6 @@ from .matching import (
     is_matching_pair,
     make_matching_pair,
     pair_product,
-    subordinated_pair,
 )
 from .sections import (
     apply_operator,
@@ -39,6 +38,7 @@ from .sections import (
     toeplitz_matrix,
     verify_product_identities,
 )
+from .config import Tolerances
 from .symbols import (
     CirclePoint,
     Const,

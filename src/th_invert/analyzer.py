@@ -14,32 +14,45 @@ When T(c) or T(d) fails to be Fredholm at p while one of the operators
 still is, the exponent is probed from above: the indices of T(c) and T(d)
 are constant on a critical-point-free interval (p, p*), the rules above
 apply there, and kernel data transfers back to p along the dense embedding
-H^s into H^p because the index does not change.
+H^s into H^p because the index does not change.  Each fact the rules read
+about one (pair, p) is computed once, by an :class:`Analysis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from .calculus import (
+    FredholmCheck,
     HardyExponent,
+    IndexResult,
     _as_exponent,
     matrix_toeplitz_index,
     th_fredholm_check,
     th_index,
     toeplitz_index,
 )
+from .config import Tolerances
+from .defaults import WINDING_MIN_MODULUS
 from .errors import (
+    InconsistentRecord,
     NoFredholmNeighborhood,
     NoSpectralGap,
     NotFredholm,
     NotFredholmAtP,
+    THInvertError,
 )
 from .matching import MatchingPair, build_u_matrix
-from .sections import kernel_formula_eval, numerical_kernel, th_section, apply_operator
+from .sections import (
+    KernelFormulaResult,
+    apply_operator,
+    kernel_formula_eval,
+    numerical_kernel,
+    th_section,
+)
 from . import symbols as sy
 from .symbols import Monomial, PCSymbol
 
@@ -52,6 +65,8 @@ RIGHT_INVERTIBLE = "right_invertible"
 UNCLASSIFIED = "fredholm_unclassified"
 NOT_ONE_SIDED = "not_one_sided_invertible"
 NOT_FREDHOLM = "not_fredholm"
+
+SIGNS = ((1, PLUS_KEY), (-1, MINUS_KEY))
 
 
 @dataclass
@@ -71,7 +86,10 @@ class OperatorRecord:
             if self.classification is None:
                 self.classification = UNCLASSIFIED
             return self
-        assert self.index == self.kernel_dim - self.cokernel_dim
+        if self.index != self.kernel_dim - self.cokernel_dim:
+            raise InconsistentRecord(
+                f"index {self.index} != kernel {self.kernel_dim} - "
+                f"cokernel {self.cokernel_dim}")
         if self.kernel_dim == 0 and self.cokernel_dim == 0:
             self.classification = INVERTIBLE
         elif self.kernel_dim == 0:
@@ -106,37 +124,12 @@ class FredholmReport:
     discrepancies: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def cnum(z):
-            return None if z is None else {"re": z.real, "im": z.imag}
-
-        ops = {
-            key: {
-                "fredholm": rec.fredholm,
-                "index": rec.index,
-                "kernel_dim": rec.kernel_dim,
-                "cokernel_dim": rec.cokernel_dim,
-                "classification": rec.classification,
-            }
-            for key, rec in self.operators.items()
-        }
-        return {
-            "p": self.p,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "match_residual": self.match_residual,
-            "match_constant": cnum(self.match_constant),
-            "operators": ops,
-            "classification": self.classification,
-            "kernel_dim": self.kernel_dim,
-            "cokernel_dim": self.cokernel_dim,
-            "evidence": list(self.evidence),
-            "probing": None if self.probing is None else {
-                "s_used": self.probing.s_used,
-                "limit_indices": list(self.probing.limit_indices),
-                "critical_exponent": self.probing.critical_exponent,
-            },
-            "discrepancies": list(self.discrepancies),
-        }
+        doc = asdict(self)
+        z = self.match_constant
+        doc["match_constant"] = None if z is None else {"re": z.real, "im": z.imag}
+        if self.probing is not None:
+            doc["probing"]["limit_indices"] = list(self.probing.limit_indices)
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +204,100 @@ def verified_kernel_witnesses(a: PCSymbol, b: PCSymbol, n_out: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# classification at a fixed exponent
+# the facts of one (pair, p)
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Analysis:
+    """The facts of one matching pair at one exponent, each computed once.
+
+    A fact is computed on first use and kept, a refusal included, for the
+    life of the object: one top-level call of classify,
+    classify_with_probing or cross_check.  ``tolerances`` reach every
+    curve, symbol check, section and kernel count; ``n_section`` and
+    ``formula_section`` are the sizes of the kernel sections and of the
+    kernel formula's compression.
+    """
+
+    pair: MatchingPair
+    p: HardyExponent
+    tolerances: Tolerances = Tolerances()
+    n_section: int = 256
+    formula_section: int = 512
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _as_exponent(self.p))
+
+    def _once(self, key, compute: Callable):
+        if key not in self._facts:
+            try:
+                self._facts[key] = (compute(), None)
+            except THInvertError as exc:
+                self._facts[key] = (None, exc)
+        value, exc = self._facts[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    def _b(self, sign: int) -> PCSymbol:
+        return self.pair.b if sign == 1 else -self.pair.b
+
+    def toeplitz(self, symbol: PCSymbol) -> IndexResult:
+        """Fredholmness and index of T(symbol); c and d share it when equal."""
+        return self._once(("toeplitz", symbol), lambda: toeplitz_index(
+            symbol, self.p, min_modulus_tol=self.tolerances.winding))
+
+    @property
+    def kappas(self) -> Optional[tuple[int, int]]:
+        """(kappa1, kappa2) = (ind T(d), ind T(c)); None unless both are Fredholm."""
+        res_c, res_d = self.toeplitz(self.pair.c), self.toeplitz(self.pair.d)
+        return (res_d.index, res_c.index) if res_c.fredholm and res_d.fredholm else None
+
+    def check(self, sign: int) -> FredholmCheck:
+        """Symbol check of T(a) + sign * H(b)."""
+        return self._once(("check", sign), lambda: th_fredholm_check(
+            self.pair.a, self._b(sign), self.p, min_modulus_tol=self.tolerances.winding))
+
+    def th_index(self, sign: int) -> int:
+        """Index of T(a) + sign * H(b); NotFredholm when its check fails."""
+        return self._once(("th_index", sign), lambda: th_index(
+            self.pair.a, self._b(sign), self.p, min_modulus_tol=self.tolerances.winding,
+            check=self.check(sign)))
+
+    def matrix_route(self) -> IndexResult:
+        """Index of T(U) for the triangular matrix symbol of the pair."""
+        return self._once("matrix", lambda: matrix_toeplitz_index(
+            build_u_matrix(self.pair), self.p, min_modulus_tol=self.tolerances.winding))
+
+    def probe(self, symbol: PCSymbol) -> "ProbeResult":
+        """lim_{s -> p+} ind T(symbol)."""
+        return self._once(("probe", symbol), lambda: probe_limit_index(
+            symbol, self.p, min_modulus_tol=self.tolerances.winding))
+
+    def formula(self) -> KernelFormulaResult:
+        """Joint kernel dimension of the pair from kappa1 and kappa2."""
+        return self._once("formula", lambda: kernel_formula_eval(
+            self.pair, *self.kappas, n=self.formula_section,
+            sv_threshold=self.tolerances.sv_threshold, tol=self.tolerances.quadrature))
+
+    def witnesses(self) -> dict:
+        """Verified kernel witnesses of each operator, by sign."""
+        return self._once("witnesses", lambda: verified_kernel_witnesses(
+            self.pair.a, self.pair.b))
+
+    def section_kernel(self, sign: int) -> int:
+        """Kernel dimension of the n_section section of T(a) + sign * H(b)."""
+        return self._once(("section", sign), lambda: numerical_kernel(
+            th_section(self.pair.a, self.pair.b, sign, self.n_section,
+                       self.tolerances.quadrature),
+            self.tolerances.sv_threshold).dimension)
+
+
+# ---------------------------------------------------------------------------
+# classification at a fixed exponent
+# ---------------------------------------------------------------------------
 
 
 def _scalar_toeplitz_record(res) -> OperatorRecord:
@@ -226,44 +310,46 @@ def _scalar_toeplitz_record(res) -> OperatorRecord:
     return rec.finalize()
 
 
-def classify(pair: MatchingPair, p, n_section: int = 256,
-             formula_section: int = 512) -> FredholmReport:
+def _report(an: Analysis, kappas, operators, evidence, discrepancies, **extra):
+    top = operators[PLUS_KEY]
+    return FredholmReport(
+        an.p.p, *kappas, an.pair.residual, an.pair.match_constant, operators,
+        top.classification, top.kernel_dim, top.cokernel_dim, evidence,
+        discrepancies=discrepancies, **extra)
+
+
+def classify(pair: MatchingPair, p, n_section: int = 256, formula_section: int = 512,
+             tolerances: Tolerances = Tolerances()) -> FredholmReport:
     """Classification of T(a)+H(b) and T(a)-H(b) on H^p for a matching pair."""
-    pe = _as_exponent(p)
-    a, b = pair.a, pair.b
+    return _classify(Analysis(pair, p, tolerances, n_section, formula_section))
+
+
+def _classify(an: Analysis) -> FredholmReport:
+    pair = an.pair
     evidence: list[str] = []
     discrepancies: list[str] = []
-    operators: dict[str, OperatorRecord] = {}
+    operators = {
+        "T(c)": _scalar_toeplitz_record(an.toeplitz(pair.c)),
+        "T(d)": _scalar_toeplitz_record(an.toeplitz(pair.d)),
+    }
+    check_plus, check_minus = an.check(1), an.check(-1)
 
-    res_c = toeplitz_index(pair.c, pe)
-    res_d = toeplitz_index(pair.d, pe)
-    operators["T(c)"] = _scalar_toeplitz_record(res_c)
-    operators["T(d)"] = _scalar_toeplitz_record(res_d)
-    check_plus = th_fredholm_check(a, b, pe)
-    check_minus = th_fredholm_check(a, -b, pe)
-
-    if not (res_c.fredholm and res_d.fredholm):
+    if an.kappas is None:
         evidence.append(
             "subordinated test: T(c) or T(d) not Fredholm, so the pair "
             "diag(T(a)+H(b), T(a)-H(b)) is not Fredholm")
-        for sign, key, chk in ((1, PLUS_KEY, check_plus), (-1, MINUS_KEY, check_minus)):
-            rec = OperatorRecord(chk.fredholm)
-            if chk.fredholm:
-                rec.index = th_index(a, b if sign == 1 else -b, pe)
+        for sign, key in SIGNS:
+            rec = OperatorRecord(an.check(sign).fredholm)
+            if rec.fredholm:
+                rec.index = an.th_index(sign)
                 rec.classification = UNCLASSIFIED
                 evidence.append(
                     f"{key} is individually Fredholm with index {rec.index}; "
                     "use exponent probing for its one-sided classification")
-            rec.finalize()
-            operators[key] = rec
-        top = operators[PLUS_KEY]
-        return FredholmReport(
-            pe.p, None, None, pair.residual, pair.match_constant, operators,
-            top.classification, top.kernel_dim, top.cokernel_dim, evidence,
-            discrepancies=discrepancies)
+            operators[key] = rec.finalize()
+        return _report(an, (None, None), operators, evidence, discrepancies)
 
-    kappa2 = res_c.index
-    kappa1 = res_d.index
+    kappa1, kappa2 = an.kappas
     evidence.append(f"subordinated indices: ind T(d) = {kappa1}, ind T(c) = {kappa2}")
 
     if not (check_plus.fredholm and check_minus.fredholm):
@@ -271,8 +357,7 @@ def classify(pair: MatchingPair, p, n_section: int = 256,
             "T(c), T(d) Fredholm but a direct symbol check failed; "
             f"min moduli {check_plus.min_modulus:.2e}/{check_minus.min_modulus:.2e}")
 
-    ind_plus = th_index(a, b, pe)
-    ind_minus = th_index(a, -b, pe)
+    ind_plus, ind_minus = an.th_index(1), an.th_index(-1)
     if ind_plus + ind_minus != kappa1 + kappa2:
         discrepancies.append(
             f"index sum rule violated: {ind_plus} + {ind_minus} != {kappa1} + {kappa2}")
@@ -296,84 +381,76 @@ def classify(pair: MatchingPair, p, n_section: int = 256,
             rec.kernel_dim = 0
             rec.cokernel_dim = -rec.index
     else:
-        try:
-            formula = kernel_formula_eval(pair, pe, n=formula_section)
-        except NoSpectralGap as exc:
-            evidence.append(
-                f"mixed subordinated indices but the kernel compression is "
-                f"inconclusive ({exc}); kernels left undetermined")
-            operators[PLUS_KEY] = rec_plus.finalize()
-            operators[MINUS_KEY] = rec_minus.finalize()
-            return FredholmReport(
-                pe.p, kappa1, kappa2, pair.residual, pair.match_constant, operators,
-                rec_plus.classification, rec_plus.kernel_dim, rec_plus.cokernel_dim,
-                evidence, discrepancies=discrepancies)
-        joint = formula.dimension
+        _apportion_mixed(an, rec_plus, rec_minus, evidence)
+
+    operators[PLUS_KEY] = rec_plus.finalize()
+    operators[MINUS_KEY] = rec_minus.finalize()
+    return _report(an, (kappa1, kappa2), operators, evidence, discrepancies)
+
+
+def _apportion_mixed(an: Analysis, rec_plus: OperatorRecord, rec_minus: OperatorRecord,
+                     evidence: list) -> None:
+    """Kernel data of both operators for subordinated indices of mixed sign:
+    the joint kernel dimension from the kernel formula, split between the
+    operators by witnesses or finite sections; left undetermined otherwise."""
+    kappa1, kappa2 = an.kappas
+    try:
+        formula = an.formula()
+    except NoSpectralGap as exc:
         evidence.append(
-            f"mixed subordinated indices: joint kernel dimension of the pair = {joint} "
-            f"(quadrant {formula.quadrant}"
-            + (f", compression rank {formula.rank}, alternative projection gives "
-               f"{formula.alt_dimension}" if formula.rank is not None else "") + ")")
-        joint_coker = joint - (kappa1 + kappa2)
-        if joint > 0 and joint_coker > 0 and ind_plus == ind_minus:
+            f"mixed subordinated indices but the kernel compression is "
+            f"inconclusive ({exc}); kernels left undetermined")
+        return
+    joint = formula.dimension
+    evidence.append(
+        f"mixed subordinated indices: joint kernel dimension of the pair = {joint} "
+        f"(quadrant {formula.quadrant}"
+        + (f", compression rank {formula.rank}, alternative projection gives "
+           f"{formula.alt_dimension}" if formula.rank is not None else "") + ")")
+    joint_coker = joint - (kappa1 + kappa2)
+    if joint > 0 and joint_coker > 0 and rec_plus.index == rec_minus.index:
+        evidence.append(
+            "rule: the pair has nonzero kernel and cokernel with equal individual "
+            "indices, so at least one of the two operators is not one-sided invertible")
+    if joint == 0:
+        for rec in (rec_plus, rec_minus):
+            rec.kernel_dim = 0
+            rec.cokernel_dim = -rec.index
+        evidence.append("joint kernel is trivial: both operators are injective")
+        return
+    witnesses = an.witnesses()
+    w_plus, w_minus = len(witnesses[1]), len(witnesses[-1])
+    if w_plus or w_minus:
+        evidence.append(
+            f"verified kernel witnesses: {w_plus} for {PLUS_KEY}, "
+            f"{w_minus} for {MINUS_KEY} (residuals < 1e-10)")
+    if w_plus + w_minus == joint:
+        split = (w_plus, w_minus)
+        evidence.append("witness count exhausts the joint kernel dimension; "
+                        "kernels are fully apportioned")
+    else:
+        split = _split_by_sections(an, joint)
+        if split is None:
             evidence.append(
-                "rule: the pair has nonzero kernel and cokernel with equal individual "
-                "indices, so at least one of the two operators is not one-sided invertible")
-        if joint == 0:
-            for rec in (rec_plus, rec_minus):
-                rec.kernel_dim = 0
-                rec.cokernel_dim = -rec.index
-            evidence.append("joint kernel is trivial: both operators are injective")
-        else:
-            witnesses = verified_kernel_witnesses(a, b)
-            w_plus, w_minus = len(witnesses[1]), len(witnesses[-1])
-            if w_plus or w_minus:
-                evidence.append(
-                    f"verified kernel witnesses: {w_plus} for {PLUS_KEY}, "
-                    f"{w_minus} for {MINUS_KEY} (residuals < 1e-10)")
-            if w_plus + w_minus == joint:
-                rec_plus.kernel_dim = w_plus
-                rec_plus.cokernel_dim = w_plus - ind_plus
-                rec_minus.kernel_dim = w_minus
-                rec_minus.cokernel_dim = w_minus - ind_minus
-                evidence.append("witness count exhausts the joint kernel dimension; "
-                                "kernels are fully apportioned")
-            else:
-                split = _split_by_sections(a, b, joint, n_section)
-                if split is not None:
-                    (rec_plus.kernel_dim, rec_minus.kernel_dim) = split
-                    rec_plus.cokernel_dim = rec_plus.kernel_dim - ind_plus
-                    rec_minus.cokernel_dim = rec_minus.kernel_dim - ind_minus
-                    evidence.append(
-                        f"kernel split {split} taken from finite sections of size "
-                        f"{n_section} (clean spectral gaps)")
-                else:
-                    evidence.append(
-                        "kernel split between the two operators undetermined: "
-                        f"witnesses cover {w_plus + w_minus} of {joint} dimensions and "
-                        "finite sections are inconclusive")
-
-    rec_plus.finalize()
-    rec_minus.finalize()
-    operators[PLUS_KEY] = rec_plus
-    operators[MINUS_KEY] = rec_minus
-
-    return FredholmReport(
-        pe.p, kappa1, kappa2, pair.residual, pair.match_constant, operators,
-        rec_plus.classification, rec_plus.kernel_dim, rec_plus.cokernel_dim,
-        evidence, discrepancies=discrepancies)
+                "kernel split between the two operators undetermined: "
+                f"witnesses cover {w_plus + w_minus} of {joint} dimensions and "
+                "finite sections are inconclusive")
+            return
+        evidence.append(
+            f"kernel split {split} taken from finite sections of size "
+            f"{an.n_section} (clean spectral gaps)")
+    for rec, kernel_dim in zip((rec_plus, rec_minus), split):
+        rec.kernel_dim = kernel_dim
+        rec.cokernel_dim = kernel_dim - rec.index
 
 
-def _split_by_sections(a, b, joint: int, n_section: int):
+def _split_by_sections(an: Analysis, joint: int):
     """Kernel split from section SVDs; None when gaps are not clean."""
     try:
-        k_plus = numerical_kernel(th_section(a, b, 1, n_section)).dimension
-        k_minus = numerical_kernel(th_section(a, b, -1, n_section)).dimension
+        split = (an.section_kernel(1), an.section_kernel(-1))
     except NoSpectralGap:
         return None
-    if k_plus + k_minus != joint:
-        return None
-    return (k_plus, k_minus)
+    return split if sum(split) == joint else None
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +465,9 @@ class ProbeResult:
     critical_exponent: Optional[float]
 
 
-def probe_limit_index(symbol: PCSymbol, p, direction: str = "from_above",
-                      scan_points: int = 64, refine_tol: float = 1e-6) -> ProbeResult:
+def probe_limit_index(symbol: PCSymbol, p, scan_points: int = 64,
+                      refine_tol: float = 1e-6,
+                      min_modulus_tol: float = WINDING_MIN_MODULUS) -> ProbeResult:
     """lim_{s -> p+} ind T(symbol) on H^s.
 
     Scans a log-spaced grid in (p, p+1], locates the nearest critical
@@ -397,12 +475,11 @@ def probe_limit_index(symbol: PCSymbol, p, direction: str = "from_above",
     the midpoint of (p, p*); with no critical point the index at p+1 is
     returned.
     """
-    if direction != "from_above":
-        raise NotImplementedError("only probing from above is supported")
     pe = _as_exponent(p)
 
     def index_at(s: float) -> Optional[int]:
-        res = toeplitz_index(symbol, HardyExponent(s), n_t=512)
+        res = toeplitz_index(symbol, HardyExponent(s), n_t=512,
+                             min_modulus_tol=min_modulus_tol)
         return res.index if res.fredholm else None
 
     offsets = np.geomspace(1e-6, 1.0, scan_points)
@@ -449,7 +526,8 @@ def probe_limit_index(symbol: PCSymbol, p, direction: str = "from_above",
     return ProbeResult(base, s_used, p_star)
 
 
-def classify_with_probing(pair: MatchingPair, p, n_section: int = 256) -> FredholmReport:
+def classify_with_probing(pair: MatchingPair, p, n_section: int = 256,
+                          tolerances: Tolerances = Tolerances()) -> FredholmReport:
     """Classification when T(c) or T(d) degenerates at p itself.
 
     Requires at least one of T(a)+H(b), T(a)-H(b) to be Fredholm at p; the
@@ -457,24 +535,18 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256) -> Fredho
     kernel data is transferred back along the dense embedding (the index
     is constant on the interval, so kernels and cokernels agree).
     """
-    pe = _as_exponent(p)
-    a, b = pair.a, pair.b
-
-    res_c = toeplitz_index(pair.c, pe)
-    res_d = toeplitz_index(pair.d, pe)
-    if res_c.fredholm and res_d.fredholm:
-        rep = classify(pair, pe, n_section)
+    an = Analysis(pair, p, tolerances, n_section)
+    pe = an.p
+    if an.kappas is not None:
+        rep = _classify(an)
         rep.evidence.append("probing not needed: subordinated pair Fredholm at p")
         return rep
 
-    check_plus = th_fredholm_check(a, b, pe)
-    check_minus = th_fredholm_check(a, -b, pe)
-    if not (check_plus.fredholm or check_minus.fredholm):
+    if not (an.check(1).fredholm or an.check(-1).fredholm):
         raise NotFredholmAtP(
             f"neither operator is Fredholm at p = {pe.p:g}; probing does not apply")
 
-    probe_c = probe_limit_index(pair.c, pe)
-    probe_d = probe_limit_index(pair.d, pe)
+    probe_c, probe_d = an.probe(pair.c), an.probe(pair.d)
     lim_k2, lim_k1 = probe_c.limit_index, probe_d.limit_index
     crit = [x for x in (probe_c.critical_exponent, probe_d.critical_exponent)
             if x is not None]
@@ -485,10 +557,9 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256) -> Fredho
         f"probing (s -> p+): lim ind T(d) = {lim_k1}, lim ind T(c) = {lim_k2}"
         + (f"; nearest critical exponent {p_star:.6f}" if p_star else ""),
     ]
-    discrepancies: list[str] = []
     operators = {
-        "T(c)": _scalar_toeplitz_record(res_c),
-        "T(d)": _scalar_toeplitz_record(res_d),
+        "T(c)": _scalar_toeplitz_record(an.toeplitz(pair.c)),
+        "T(d)": _scalar_toeplitz_record(an.toeplitz(pair.d)),
     }
 
     branch_report: Optional[FredholmReport] = None
@@ -496,21 +567,20 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256) -> Fredho
     def branch() -> FredholmReport:
         nonlocal branch_report
         if branch_report is None:
-            branch_report = classify(pair, HardyExponent(s_fb), n_section)
+            branch_report = classify(pair, HardyExponent(s_fb), n_section,
+                                     tolerances=an.tolerances)
         return branch_report
 
-    for sign, key, chk in ((1, PLUS_KEY, check_plus), (-1, MINUS_KEY, check_minus)):
-        if not chk.fredholm:
-            rec = OperatorRecord(False).finalize()
-            operators[key] = rec
+    for sign, key in SIGNS:
+        if not an.check(sign).fredholm:
+            operators[key] = OperatorRecord(False).finalize()
             b_rec = branch().operators[key]
             evidence.append(
                 f"{key} not Fredholm at p = {pe.p:g}; on the stability branch "
                 f"s in (p, {p_star if p_star else pe.p + 1:.6g}) it is "
                 f"{b_rec.classification} with index {b_rec.index}")
             continue
-        b_signed = b if sign == 1 else -b
-        ind_at_p = th_index(a, b_signed, pe)
+        ind_at_p = an.th_index(sign)
         rec = OperatorRecord(True, ind_at_p)
         if lim_k1 >= 0 and lim_k2 >= 0:
             rec.cokernel_dim = 0
@@ -534,15 +604,10 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256) -> Fredho
             else:
                 evidence.append(
                     f"mixed limit indices and no transferable kernel data for {key}")
-        rec.finalize()
-        operators[key] = rec
+        operators[key] = rec.finalize()
 
-    top = operators[PLUS_KEY]
-    return FredholmReport(
-        pe.p, None, None, pair.residual, pair.match_constant, operators,
-        top.classification, top.kernel_dim, top.cokernel_dim, evidence,
-        probing=ProbingRecord(s_fb, (lim_k1, lim_k2), p_star),
-        discrepancies=discrepancies)
+    return _report(an, (None, None), operators, evidence, [],
+                   probing=ProbingRecord(s_fb, (lim_k1, lim_k2), p_star))
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +640,21 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
     ``with_sections=False`` skips the classification and section kernels
     and compares only the index routes.
     """
-    pe = _as_exponent(p)
+    an = Analysis(pair, p, n_section=n_section)
     discrepancies: list[str] = []
 
-    res_c = toeplitz_index(pair.c, pe)
-    res_d = toeplitz_index(pair.d, pe)
-    sub_sum = None
-    if res_c.fredholm and res_d.fredholm:
-        sub_sum = res_c.index + res_d.index
-    else:
+    sub_sum = None if an.kappas is None else sum(an.kappas)
+    if sub_sum is None:
         discrepancies.append("subordinated route unavailable: T(c) or T(d) not Fredholm")
 
-    matrix_route = None
-    mres = matrix_toeplitz_index(build_u_matrix(pair), pe)
-    if mres.fredholm:
-        matrix_route = mres.index
-    else:
+    mres = an.matrix_route()
+    matrix_route = mres.index if mres.fredholm else None
+    if matrix_route is None:
         discrepancies.append("matrix route unavailable: determinant curve through origin")
 
     th_route = None
     try:
-        th_route = th_index(pair.a, pair.b, pe) + th_index(pair.a, -pair.b, pe)
+        th_route = an.th_index(1) + an.th_index(-1)
     except NotFredholm as exc:
         discrepancies.append(f"th-symbol route unavailable: {exc}")
 
@@ -608,15 +667,12 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
     section_dims = None
     report_dims = None
     if sub_sum is not None and with_sections:
-        rep = classify(pair, pe, n_section)
+        rep = _classify(an)
         if rep.operators[PLUS_KEY].kernel_dim is not None:
             report_dims = (rep.operators[PLUS_KEY].kernel_dim,
                            rep.operators[MINUS_KEY].kernel_dim)
         try:
-            section_dims = (
-                numerical_kernel(th_section(pair.a, pair.b, 1, n_section)).dimension,
-                numerical_kernel(th_section(pair.a, pair.b, -1, n_section)).dimension,
-            )
+            section_dims = (an.section_kernel(1), an.section_kernel(-1))
         except NoSpectralGap as exc:
             discrepancies.append(f"finite-section kernel count inconclusive: {exc}")
         if section_dims is not None and report_dims is not None \
@@ -625,5 +681,5 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
                 f"finite-section kernel dims {section_dims} differ from the "
                 f"report's {report_dims} (sections only see fast-decaying kernels)")
 
-    return ConsistencyReport(pe.p, sub_sum, matrix_route, th_route,
+    return ConsistencyReport(an.p.p, sub_sum, matrix_route, th_route,
                              section_dims, report_dims, discrepancies)

@@ -39,11 +39,10 @@ from .errors import (
     NonIntegerWinding,
     NotFredholm,
     OutOfDomain,
-    PoleHit,
     PreconditionViolation,
 )
 from . import symbols as sy
-from .matching import MatrixSymbol
+from .matching import MatrixSymbol, build_u_matrix_general
 from .symbols import (
     LEFT,
     RIGHT,
@@ -84,21 +83,23 @@ def _as_exponent(p) -> HardyExponent:
 # ---------------------------------------------------------------------------
 
 
-def weight_functions(p, y: float) -> tuple[complex, complex]:
-    """(nu_p(y), h_p(y)) with exact values at y = +-inf.
+def weight_functions(p, y):
+    """(nu_p(y), h_p(y)) elementwise over y, exact at y = +-inf.
 
     nu_p runs from 0 at -inf to 1 at +inf along a circular arc; h_p
     vanishes at both ends and takes values in the closed lower half-plane.
+    A scalar y gives scalars, an array of y gives arrays.
     """
     p = _as_exponent(p).p
-    if math.isinf(y):
-        return (1.0 + 0.0j if y > 0 else 0.0 + 0.0j), 0.0 + 0.0j
-    z = complex(math.pi * y, math.pi / p)
+    y = np.asarray(y, dtype=float)
+    nus = np.array(y > 0, dtype=complex)  # the exact values at +-inf
+    hs = np.zeros(y.shape, dtype=complex)
+    finite = np.isfinite(y)
+    z = math.pi * (y[finite] + 1j / p)
     sh = np.sinh(z)
-    if abs(sh) == 0.0:
-        raise PoleHit(f"sinh(pi*(y + i/p)) vanished at y={y}, p={p}")
-    nu = 0.5 * (1.0 + np.cosh(z) / sh)
-    return complex(nu), complex(1.0 / sh)
+    nus[finite] = 0.5 * (1.0 + np.cosh(z) / sh)
+    hs[finite] = 1.0 / sh
+    return nus[()], hs[()]
 
 
 def y_grid(m: int = Y_GRID_N, delta: float = Y_GRID_DELTA) -> np.ndarray:
@@ -107,27 +108,9 @@ def y_grid(m: int = Y_GRID_N, delta: float = Y_GRID_DELTA) -> np.ndarray:
     return np.arctanh(u)
 
 
-def weights_on_grid(p, m: int = Y_GRID_N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ys, nus, hs) over the compactified grid, infinities included."""
-    p = _as_exponent(p).p
-    ys = y_grid(m)
-    z = math.pi * (ys + 1j / p)
-    sh = np.sinh(z)
-    nus = 0.5 * (1.0 + np.cosh(z) / sh)
-    hs = 1.0 / sh
-    ys = np.concatenate([[-np.inf], ys, [np.inf]])
-    nus = np.concatenate([[0.0 + 0.0j], nus, [1.0 + 0.0j]])
-    hs = np.concatenate([[0.0 + 0.0j], hs, [0.0 + 0.0j]])
-    return ys, nus, hs
-
-
-@dataclass(frozen=True)
-class GelfandParams:
-    """Evaluation grids for the cylinder T x [-inf, inf]."""
-
-    p: HardyExponent
-    y_samples: int = Y_GRID_N
-    t_samples: int = GRID_N
+def _y_axis(m: int) -> np.ndarray:
+    """The compactified line: -inf, the m finite samples of y_grid, +inf."""
+    return np.concatenate([[-np.inf], y_grid(m), [np.inf]])
 
 
 def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
@@ -139,7 +122,8 @@ def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
     """
     if u == w:
         raise DegenerateArc("arc endpoints coincide")
-    ys, nus, _ = weights_on_grid(p, n_samples)
+    ys = _y_axis(n_samples)
+    nus, _ = weight_functions(p, ys)
     values = u * (1.0 - nus) + w * nus
     params = np.tanh(np.clip(ys, -50, 50))
     return SymbolCurve(
@@ -190,23 +174,6 @@ def winding(curve: SymbolCurve, min_modulus_tol: float = WINDING_MIN_MODULUS,
     return int(nearest)
 
 
-def _weights_at_u(p, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(nu, h) at arc parameters u = tanh(y) in [-1, 1], endpoints exact."""
-    p = _as_exponent(p).p
-    us = np.asarray(us, dtype=float)
-    nus = np.empty(us.shape, dtype=complex)
-    hs = np.zeros(us.shape, dtype=complex)
-    at_end = np.abs(us) >= 1.0
-    nus[at_end] = (us[at_end] > 0).astype(complex)
-    interior = ~at_end
-    if interior.any():
-        z = math.pi * (np.arctanh(us[interior]) + 1j / p)
-        sh = np.sinh(z)
-        nus[interior] = 0.5 * (1.0 + np.cosh(z) / sh)
-        hs[interior] = 1.0 / sh
-    return nus, hs
-
-
 def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
                        evaluator: Callable[[np.ndarray], np.ndarray],
                        max_step: float = 0.35, rounds: int = 48,
@@ -238,8 +205,7 @@ def _assemble_closed_curve(
     jump_angles: list[float],
     cont_values: Callable[[np.ndarray], np.ndarray],
     side_value: Callable[[float, str], complex],
-    arc_values: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    p,
+    arc_values: Callable[[float, np.ndarray], np.ndarray],
     n_t: int,
     m_y: int,
 ) -> SymbolCurve:
@@ -248,9 +214,10 @@ def _assemble_closed_curve(
     The curve starts just after the first jump (or at angle 0 when there is
     none) and is explicitly closed by repeating its first point.  Every
     segment is refined adaptively near the origin, so close approaches are
-    resolved regardless of the base grids.
+    resolved regardless of the base grids.  Arcs are parametrized by
+    u = tanh(y) in [-1, 1]; ``arc_values(angle, ys)`` gets the y values.
     """
-    us0 = np.concatenate([[-1.0], np.tanh(y_grid(m_y)), [1.0]])
+    us0 = np.tanh(_y_axis(m_y))
     pieces: list[np.ndarray] = []
     seg_ids: list[np.ndarray] = []
     params: list[np.ndarray] = []
@@ -265,8 +232,8 @@ def _assemble_closed_curve(
 
     def arc_evaluator(theta):
         def ev(us):
-            nus, hs = _weights_at_u(p, us)
-            return arc_values(theta, nus, hs)
+            with np.errstate(divide="ignore"):
+                return arc_values(theta, np.arctanh(us))
 
         return ev
 
@@ -312,18 +279,37 @@ def _assemble_closed_curve(
     )
 
 
-def _refine_winding(builder: Callable[[int, int], SymbolCurve],
-                    n_t: int = GRID_N, m_y: int = Y_GRID_N,
-                    min_modulus_tol: float = WINDING_MIN_MODULUS) -> tuple[SymbolCurve, int]:
-    curve = builder(n_t, m_y)
+@dataclass(frozen=True)
+class IndexResult:
+    fredholm: bool
+    index: Optional[int]
+    min_modulus: float
+
+    def require(self) -> int:
+        if not self.fredholm or self.index is None:
+            raise NotFredholm(f"operator is not Fredholm (min modulus {self.min_modulus:.2e})")
+        return self.index
+
+
+def _curve_index(build: Callable[[int, int], SymbolCurve], n_t: int, m_y: int,
+                 min_modulus_tol: float) -> IndexResult:
+    """Fredholmness and index from the closed curve ``build(n_t, m_y)``.
+
+    Not Fredholm when the curve comes within ``min_modulus_tol`` of the
+    origin; otherwise the index is minus its winding, with both grids
+    refined while the winding is not close to an integer.
+    """
+    curve = build(n_t, m_y)
+    if curve.min_modulus <= min_modulus_tol:
+        return IndexResult(False, None, curve.min_modulus)
     for _ in range(4):
         try:
-            return curve, winding(curve, min_modulus_tol)
+            return IndexResult(True, -winding(curve, min_modulus_tol), curve.min_modulus)
         except NonIntegerWinding:
             n_t *= 2
             m_y = 2 * m_y + 1
-            curve = builder(n_t, m_y)
-    return curve, winding(curve, min_modulus_tol)
+            curve = build(n_t, m_y)
+    return IndexResult(True, -winding(curve, min_modulus_tol), curve.min_modulus)
 
 
 def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
@@ -346,36 +332,19 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
             return lv if side == LEFT else rv
         return evaluate(a, CirclePoint(theta), side)
 
-    def arc_vals(theta, nus, hs):
+    def arc_vals(theta, ys):
         lv, rv = sides[theta]
+        nus, _ = weight_functions(p, ys)
         return lv * (1.0 - nus) + rv * nus
 
-    return _assemble_closed_curve(angles, cont, side_val, arc_vals, p, n_t, m_y)
-
-
-@dataclass(frozen=True)
-class IndexResult:
-    fredholm: bool
-    index: Optional[int]
-    min_modulus: float
-
-    def require(self) -> int:
-        if not self.fredholm or self.index is None:
-            raise NotFredholm(f"operator is not Fredholm (min modulus {self.min_modulus:.2e})")
-        return self.index
+    return _assemble_closed_curve(angles, cont, side_val, arc_vals, n_t, m_y)
 
 
 def toeplitz_index(a: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
                    min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
     """Fredholmness and index of T(a) on H^p: index = -winding of the curve."""
-    def build(nt, my):
-        return toeplitz_symbol_curve(a, p, nt, my)
-
-    curve = build(n_t, m_y)
-    if curve.min_modulus <= min_modulus_tol:
-        return IndexResult(False, None, curve.min_modulus)
-    curve, w = _refine_winding(build, n_t, m_y, min_modulus_tol)
-    return IndexResult(True, -w, curve.min_modulus)
+    return _curve_index(lambda nt, my: toeplitz_symbol_curve(a, p, nt, my),
+                        n_t, m_y, min_modulus_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +378,21 @@ def matrix_symbol_curve(u: MatrixSymbol, p, n_t: int = GRID_N,
         m = side_mat(theta, side)
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
-    def arc_vals(theta, nus, hs):
+    def arc_vals(theta, ys):
+        nus, _ = weight_functions(p, ys)
         ml = side_mat(theta, LEFT)
         mr = side_mat(theta, RIGHT)
         interp = (1.0 - nus)[:, None, None] * ml[None, :, :] + nus[:, None, None] * mr[None, :, :]
         return interp[:, 0, 0] * interp[:, 1, 1] - interp[:, 0, 1] * interp[:, 1, 0]
 
-    return _assemble_closed_curve(angles, cont, side_val, arc_vals, p, n_t, m_y)
+    return _assemble_closed_curve(angles, cont, side_val, arc_vals, n_t, m_y)
 
 
 def matrix_toeplitz_index(u: MatrixSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
                           min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
     """Index of the block Toeplitz operator T(U) on (H^p)^2."""
-    def build(nt, my):
-        return matrix_symbol_curve(u, p, nt, my)
-
-    curve = build(n_t, m_y)
-    if curve.min_modulus <= min_modulus_tol:
-        return IndexResult(False, None, curve.min_modulus)
-    curve, w = _refine_winding(build, n_t, m_y, min_modulus_tol)
-    return IndexResult(True, -w, curve.min_modulus)
+    return _curve_index(lambda nt, my: matrix_symbol_curve(u, p, nt, my),
+                        n_t, m_y, min_modulus_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -441,39 +405,36 @@ def _one_sided(symbol: PCSymbol, angle: float) -> tuple[complex, complex]:
     return evaluate(symbol, pt, LEFT), evaluate(symbol, pt, RIGHT)
 
 
-def th_symbol(a: PCSymbol, b: PCSymbol, p, t: CirclePoint, y: float):
-    """Symbol of T(a) + H(b) at (t, y).
+def th_symbol(a: PCSymbol, b: PCSymbol, p, t, y):
+    """Symbol of T(a) + H(b) at (t, y), elementwise over an array of y.
 
     For t in the open upper half-circle returns the 2x2 matrix
 
         [[ a(t+0) nu + a(t-0)(1-nu),   (b(t+0) - b(t-0))/(2i) h      ],
          [ (b(~t-0) - b(~t+0))/(2i) h, a(~t+0) nu + a(~t-0)(1-nu)    ]]
 
-    with ~t = conj(t); for t = +-1 the scalar
+    with ~t = conj(t) (shape (2, 2, *y.shape)); for t = +-1 the scalar
 
         a(t+0) nu + a(t-0)(1-nu)  +-  (b(t+0) - b(t-0))/2 * h,
 
     with + at t = 1 and - at t = -1 (the flip reverses orientation there).
     Points of the open lower half-circle are outside the symbol's domain.
     """
-    if not isinstance(t, CirclePoint):
-        t = CirclePoint(t)
-    nu, h = weight_functions(p, y)
-    theta = t.angle
-    if theta in (0.0, math.pi):
-        al, ar = _one_sided(a, theta)
-        bl, br = _one_sided(b, theta)
-        sign = 1.0 if theta == 0.0 else -1.0
-        return ar * nu + al * (1.0 - nu) + sign * (br - bl) / 2.0 * h
+    theta = (t if isinstance(t, CirclePoint) else CirclePoint(t)).angle
     if theta > math.pi:
         raise OutOfDomain("the symbol lives on the closed upper half-circle")
+    nu, h = weight_functions(p, y)
     al, ar = _one_sided(a, theta)
     bl, br = _one_sided(b, theta)
+    top = ar * nu + al * (1.0 - nu)
+    if theta in (0.0, math.pi):
+        sign = 1.0 if theta == 0.0 else -1.0
+        return top + sign * (br - bl) / 2.0 * h
     alc, arc_ = _one_sided(a, TWO_PI - theta)
     blc, brc = _one_sided(b, TWO_PI - theta)
     return np.array(
         [
-            [ar * nu + al * (1.0 - nu), (br - bl) / 2j * h],
+            [top, (br - bl) / 2j * h],
             [(blc - brc) / 2j * h, arc_ * nu + alc * (1.0 - nu)],
         ],
         dtype=complex,
@@ -491,7 +452,7 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
                       m_y: int = Y_GRID_N,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> FredholmCheck:
     """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle."""
-    ys, nus, hs = weights_on_grid(p, m_y)
+    ys = _y_axis(m_y)
     jumps = {pt.angle for pt, _, _ in jump_set(a)} | {pt.angle for pt, _, _ in jump_set(b)}
     special = sy.dedupe_angles(
         {th for th in jumps if 0.0 < th < math.pi}
@@ -518,25 +479,11 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
         i = int(np.argmin(dets))
         consider(float(dets[i]), float(smooth[i]), 0.0)
 
-    # jump-relevant interior points: full y sweep of the 2x2 determinant
-    for th in special:
-        al, ar = _one_sided(a, th)
-        bl, br = _one_sided(b, th)
-        alc, arc_ = _one_sided(a, TWO_PI - th)
-        blc, brc = _one_sided(b, TWO_PI - th)
-        a11 = ar * nus + al * (1.0 - nus)
-        a22 = arc_ * nus + alc * (1.0 - nus)
-        a12 = (br - bl) / 2j * hs
-        a21 = (blc - brc) / 2j * hs
-        det = np.abs(a11 * a22 - a12 * a21)
-        i = int(np.argmin(det))
-        consider(float(det[i]), th, float(ys[i]))
-
-    # scalar branch at the fixed points of the flip
-    for th, sign in ((0.0, 1.0), (math.pi, -1.0)):
-        al, ar = _one_sided(a, th)
-        bl, br = _one_sided(b, th)
-        vals = np.abs(ar * nus + al * (1.0 - nus) + sign * (br - bl) / 2.0 * hs)
+    # full y sweeps: the 2x2 determinant at jump-relevant interior points,
+    # then the scalar branch at the fixed points +-1 of the flip
+    for th in [*special, 0.0, math.pi]:
+        m = th_symbol(a, b, p, th, ys)
+        vals = np.abs(m if m.ndim == 1 else m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         i = int(np.argmin(vals))
         consider(float(vals[i]), th, float(ys[i]))
 
@@ -574,16 +521,14 @@ def split_generating_pair(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol]
 
 def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
                        m_y: int = Y_GRID_N) -> SymbolCurve:
-    """Curve of the scalar symbol of T(g) + H(b0), b0 continuous off +-1.
+    """Curve of the scalar symbol of T(g) + H(b0), g and b0 continuous off +-1.
 
-    At each jump of g the usual arc is inserted; at +-1 the Hankel term
-    +-(b0(t+0) - b0(t-0))/2 * h_p(y) rides on top of it.
+    The image of g along the circle, with the scalar symbol of th_symbol
+    at t = +-1 inserted there: the arc of g plus the Hankel term
+    +-(b0(t+0) - b0(t-0))/2 * h_p(y).
     """
-    angles = sy.dedupe_angles({pt.angle for pt, _, _ in jump_set(g)} | {0.0, math.pi})
-    b0_jumps = {}
-    for th, sign in ((0.0, 1.0), (math.pi, -1.0)):
-        bl, br = _one_sided(b0, th)
-        b0_jumps[th] = sign * (br - bl) / 2.0
+    if any(pt.angle not in (0.0, math.pi) for pt, _, _ in jump_set(g)):
+        raise PreconditionViolation("g must be continuous off +-1")
 
     def cont(thetas):
         return evaluate_array(g, thetas)
@@ -591,17 +536,15 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
     def side_val(theta, side):
         return evaluate(g, CirclePoint(theta), side)
 
-    def arc_vals(theta, nus, hs):
-        gl, gr = _one_sided(g, theta)
-        vals = gr * nus + gl * (1.0 - nus)
-        if theta in b0_jumps:
-            vals = vals + b0_jumps[theta] * hs
-        return vals
+    def arc_vals(theta, ys):
+        return th_symbol(g, b0, p, theta, ys)
 
-    return _assemble_closed_curve(angles, cont, side_val, arc_vals, p, n_t, m_y)
+    return _assemble_closed_curve([0.0, math.pi], cont, side_val, arc_vals, n_t, m_y)
 
 
-def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N) -> int:
+def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
+             min_modulus_tol: float = WINDING_MIN_MODULUS,
+             check: Optional[FredholmCheck] = None) -> int:
     """Index of the Fredholm operator T(a) + H(b) on H^p.
 
     Splits b = b0 + b1 and a = g * (a*g^-1) with g, b0 carrying the +-1
@@ -611,9 +554,11 @@ def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N
 
     where U1 is the general matrix symbol of the pair (a*g^-1, b1*g^-1),
     whose entries are continuous at +-1, and ind T(U1) comes from the
-    determinant curve of the arc-interpolated matrix.
+    determinant curve of the arc-interpolated matrix.  ``check`` is the
+    th_fredholm_check of (a, b) when the caller already has it.
     """
-    check = th_fredholm_check(a, b, p, n_t, m_y)
+    if check is None:
+        check = th_fredholm_check(a, b, p, n_t, m_y, min_modulus_tol)
     if not check.fredholm:
         raise NotFredholm(
             f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
@@ -623,18 +568,17 @@ def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N
     a2 = a * g_inv
     b2 = (b - b0) * g_inv
 
-    def build(nt, my):
-        return th_pc_symbol_curve(g, b0, p, nt, my)
-
-    from .matching import build_u_matrix_general
-
     try:
-        _, w1 = _refine_winding(build, n_t, m_y)
+        pc = _curve_index(lambda nt, my: th_pc_symbol_curve(g, b0, p, nt, my),
+                          n_t, m_y, min_modulus_tol)
+        if not pc.fredholm:
+            raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
+                              f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
         u1 = build_u_matrix_general(a2, b2)
-        ind_u1 = matrix_toeplitz_index(u1, p, n_t, m_y).require()
+        ind_u1 = matrix_toeplitz_index(u1, p, n_t, m_y, min_modulus_tol).require()
     except CurveThroughOrigin as exc:
         # adaptive sampling found a closer origin approach than the check grid
         raise NotFredholm(f"borderline symbol degeneracy: {exc}") from exc
     if ind_u1 % 2 != 0:
         raise NotFredholm(f"matrix index {ind_u1} is odd; symbol data inconsistent")
-    return -w1 + ind_u1 // 2
+    return pc.index + ind_u1 // 2

@@ -16,8 +16,8 @@ import tempfile
 import numpy as np
 
 from . import catalog
-from .analyzer import classify_with_probing, cross_check
-from .calculus import toeplitz_index, toeplitz_symbol_curve, weights_on_grid
+from .analyzer import Analysis, classify_with_probing, cross_check
+from .calculus import toeplitz_index, toeplitz_symbol_curve, weight_functions, y_grid
 from .config import AnalysisConfig, encode_symbol, parse_config
 from .errors import ConfigError, THInvertError
 from .matching import MatchRejection, is_matching_pair, make_matching_pair
@@ -26,7 +26,6 @@ from .sections import (
     apply_operator,
     block_assembly,
     idempotent_identity_residual,
-    kernel_formula_eval,
     numerical_kernel,
     th_section,
     verify_product_identities,
@@ -65,8 +64,8 @@ def _resolve_symbol(cfg: AnalysisConfig, name: str) -> PCSymbol:
     if name in cfg.symbols:
         return cfg.symbols[name]
     if name in ("c", "d"):
-        pair = make_matching_pair(cfg.symbol("a"), cfg.symbol("b"),
-                                  cfg.tolerances["matching"])
+        pair = make_matching_pair(cfg.symbol("a"), cfg.symbol("b"), cfg.tolerances.matching,
+                                  cfg.tolerances.invertibility)
         return pair.c if name == "c" else pair.d
     raise ConfigError(f"unknown symbol '{name}' (config names: {sorted(cfg.symbols)})")
 
@@ -78,12 +77,14 @@ def cmd_analyze(args) -> int:
         raise ConfigError("no exponents: provide p_values in the config or --p")
     n = args.n or cfg.finite_section_n
     a, b = cfg.symbol("a"), cfg.symbol("b")
-    result = is_matching_pair(a, b, cfg.tolerances["matching"])
+    tol = cfg.tolerances
+    result = is_matching_pair(a, b, tol.matching, invertibility_tol=tol.invertibility)
     if isinstance(result, MatchRejection):
         raise ConfigError(
             f"(a, b) is not a matching pair (residual {result.max_residual:.3e}); "
             "the one-sided classification rules require the matching condition")
-    reports = [classify_with_probing(result, p, n_section=n).to_dict() for p in p_values]
+    reports = [classify_with_probing(result, p, n_section=n, tolerances=tol).to_dict()
+               for p in p_values]
     doc = {
         "tool": "th-invert",
         "command": "analyze",
@@ -141,14 +142,13 @@ def _verify_checks(seed: int):
     checks.append(("idempotent factorization identity",
                    worst_idem < 1e-12, f"max err {worst_idem:.2e}"))
 
-    ys, nus, hs = weights_on_grid(2.0, 257)
+    nus, _ = weight_functions(2.0, y_grid(257))
     seg_ok = float(np.max(np.abs(nus.imag))) < 1e-12
     checks.append(("p=2 arc weights are real (segment case)", seg_ok,
                    f"max |Im nu| {np.max(np.abs(nus.imag)):.2e}"))
     parity = 0.0
     for p in (1.2, 2.0, 4.0):
-        _, _, h = weights_on_grid(p, 257)
-        finite = h[1:-1]
+        _, finite = weight_functions(p, y_grid(257))
         parity = max(parity, float(np.max(np.abs(finite.real + finite.real[::-1]))),
                      float(np.max(np.abs(finite.imag - finite.imag[::-1]))))
     checks.append(("jump weight parity (odd real part, even imaginary part)",
@@ -213,7 +213,7 @@ def _selftest_checks():
 
     qm = catalog.quarter_twist_pair(-1)
     add("shift -1 pair p=1.5: joint kernel dimension 0",
-        kernel_formula_eval(qm, 1.5).dimension == 0)
+        Analysis(qm, 1.5).formula().dimension == 0)
     add("shift -1 pair p=3: T(a)-H(at^-1) invertible",
         classify_with_probing(qm, 3.0).operators["T(a)-H(b)"].classification
         == "invertible")

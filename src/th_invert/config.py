@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .defaults import (
     INVERTIBILITY_TOL,
@@ -34,13 +34,23 @@ from .symbols import (
     Tilde,
 )
 
-_TOLERANCE_DEFAULTS = {
-    "matching": MATCHING_TOL,
-    "invertibility": INVERTIBILITY_TOL,
-    "winding": WINDING_MIN_MODULUS,
-    "sv_threshold": SV_THRESHOLD,
-    "quadrature": QUADRATURE_TOL,
-}
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances of one analysis, as named in the config.
+
+    matching: grid residual of a*~a - b*~b accepted as matching;
+    invertibility: minimum grid modulus of a and b;
+    winding: minimum modulus of every symbol curve and symbol check;
+    sv_threshold: singular values below it count toward a kernel;
+    quadrature: error target of quadrature Fourier coefficients in sections.
+    """
+
+    matching: float = MATCHING_TOL
+    invertibility: float = INVERTIBILITY_TOL
+    winding: float = WINDING_MIN_MODULUS
+    sv_threshold: float = SV_THRESHOLD
+    quadrature: float = QUADRATURE_TOL
 
 
 def _complex_from(obj, where: str) -> complex:
@@ -142,7 +152,7 @@ def encode_symbol(symbol: PCSymbol) -> dict:
 class AnalysisConfig:
     symbols: dict
     p_values: list
-    tolerances: dict = field(default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
+    tolerances: Tolerances = Tolerances()
     finite_section_n: int = 256
     outputs: dict = field(default_factory=dict)
 
@@ -179,9 +189,9 @@ def parse_config(text: str) -> AnalysisConfig:
         if not (1.0 < float(p) < math.inf):
             raise ValidationError(f"p_values: exponent {p} outside the open interval (1, inf)")
 
-    tolerances = dict(_TOLERANCE_DEFAULTS)
+    tolerances = {}
     for key, val in raw.get("tolerances", {}).items():
-        if key not in _TOLERANCE_DEFAULTS:
+        if key not in {f.name for f in fields(Tolerances)}:
             raise ValidationError(f"tolerances: unknown tolerance '{key}'")
         if not isinstance(val, (int, float)) or val <= 0:
             raise ValidationError(f"tolerances.{key} must be a positive number")
@@ -196,4 +206,5 @@ def parse_config(text: str) -> AnalysisConfig:
             isinstance(k, str) and isinstance(v, str) for k, v in outputs.items()):
         raise ValidationError("outputs must map names to path strings")
 
-    return AnalysisConfig(symbols, [float(p) for p in p_values], tolerances, n, outputs)
+    return AnalysisConfig(symbols, [float(p) for p in p_values], Tolerances(**tolerances),
+                          n, outputs)

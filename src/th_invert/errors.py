@@ -21,10 +21,6 @@ class NotInvertible(THInvertError):
     """A generating function fails the minimum-modulus check on the grid."""
 
 
-class PoleHit(THInvertError):
-    """sinh(pi*(y + i/p)) vanished; only possible for p outside (1, inf)."""
-
-
 class DegenerateArc(THInvertError):
     """Arc endpoints coincide."""
 
@@ -41,8 +37,8 @@ class OutOfDomain(THInvertError):
     """Requested point lies outside the operation's domain."""
 
 
-class SplitFailure(THInvertError):
-    """The continuous/jump splitting of a generating pair could not be built."""
+class InconsistentRecord(THInvertError):
+    """An operator record breaks ind = dim ker - dim coker."""
 
 
 class NoSpectralGap(THInvertError):

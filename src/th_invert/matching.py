@@ -38,9 +38,6 @@ class MatchingPair:
     residual: float
     match_constant: Optional[complex] = None
 
-    def subordinated(self) -> tuple[PCSymbol, PCSymbol]:
-        return self.c, self.d
-
     def inverse_pair(self) -> "MatchingPair":
         return make_matching_pair(sym.inverse(self.a), sym.inverse(self.b))
 
@@ -89,18 +86,17 @@ def matching_residual(a: PCSymbol, b: PCSymbol, n: int = GRID_N) -> tuple[float,
 
 
 def is_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
-                     n: int = GRID_N) -> Union[MatchingPair, MatchRejection]:
+                     n: int = GRID_N, invertibility_tol: float = INVERTIBILITY_TOL
+                     ) -> Union[MatchingPair, MatchRejection]:
     """Check the matching condition a*~a = b*~b on the grid.
 
     Returns the pair with subordinated functions built on success, or the
     maximal residual on failure.  Both generating functions must be
-    invertible (Fredholmness of T(a)+H(b) presumes invertible a).
+    invertible (Fredholmness of T(a)+H(b) presumes invertible a): a grid
+    modulus below ``invertibility_tol`` raises NotInvertible.
     """
-    try:
-        check_invertible(a, INVERTIBILITY_TOL, n)
-        check_invertible(b, INVERTIBILITY_TOL, n)
-    except NotInvertible:
-        raise
+    check_invertible(a, invertibility_tol, n)
+    check_invertible(b, invertibility_tol, n)
     residual, constant = matching_residual(a, b, n)
     if residual >= tol:
         return MatchRejection(residual)
@@ -109,17 +105,13 @@ def is_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
     return MatchingPair(a, b, c, d, residual, constant)
 
 
-def make_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL) -> MatchingPair:
-    result = is_matching_pair(a, b, tol)
+def make_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
+                       invertibility_tol: float = INVERTIBILITY_TOL) -> MatchingPair:
+    result = is_matching_pair(a, b, tol, invertibility_tol=invertibility_tol)
     if isinstance(result, MatchRejection):
         raise NotInvertible(
             f"(a, b) is not a matching pair: residual {result.max_residual:.3e}")
     return result
-
-
-def subordinated_pair(pair: MatchingPair) -> tuple[PCSymbol, PCSymbol]:
-    """The functions c = a*b^-1 and d = b*(~a)^-1; each satisfies f * ~f = 1."""
-    return pair.c, pair.d
 
 
 def is_matching_function(c: PCSymbol, tol: float = MATCHING_TOL, n: int = GRID_N) -> bool:

@@ -18,8 +18,7 @@ import numpy as np
 from scipy.linalg import hankel as _hankel_la
 from scipy.linalg import toeplitz as _toeplitz_la
 
-from .calculus import toeplitz_index
-from .defaults import SPECTRAL_GAP, SV_THRESHOLD
+from .defaults import QUADRATURE_TOL, SPECTRAL_GAP, SV_THRESHOLD
 from .errors import NoSpectralGap, PreconditionViolation
 from .matching import MatchingPair
 from . import symbols as sy
@@ -56,42 +55,34 @@ def matrix_to_csv(m: FiniteSectionMatrix | np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def toeplitz_matrix(a: PCSymbol, n: int) -> FiniteSectionMatrix:
-    """n x n section with entries a_{j-k}."""
+def toeplitz_matrix(a: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
+    """n x n section with entries a_{j-k}; ``tol`` bounds quadrature coefficients."""
     if n < 1:
         raise PreconditionViolation("section size must be >= 1")
-    coeffs = coefficient_range(a, -(n - 1), n - 1)
+    coeffs = coefficient_range(a, -(n - 1), n - 1, tol=tol)
     col = coeffs[n - 1:]          # a_0, a_1, ..., a_{n-1}
     row = coeffs[: n][::-1]       # a_0, a_{-1}, ..., a_{-(n-1)}
     return FiniteSectionMatrix(_toeplitz_la(col, row))
 
 
-def hankel_matrix(b: PCSymbol, n: int) -> FiniteSectionMatrix:
-    """n x n section with entries b_{j+k+1}."""
+def hankel_matrix(b: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
+    """n x n section with entries b_{j+k+1}; ``tol`` bounds quadrature coefficients."""
     if n < 1:
         raise PreconditionViolation("section size must be >= 1")
-    coeffs = coefficient_range(b, 1, 2 * n - 1)
+    coeffs = coefficient_range(b, 1, 2 * n - 1, tol=tol)
     return FiniteSectionMatrix(_hankel_la(coeffs[:n], coeffs[n - 1:]))
 
 
-def th_section(a: PCSymbol, b: PCSymbol, sign: int, n: int) -> FiniteSectionMatrix:
+def th_section(a: PCSymbol, b: PCSymbol, sign: int, n: int,
+               tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
     """Section of T(a) + sign * H(b)."""
     return FiniteSectionMatrix(
-        toeplitz_matrix(a, n).entries + sign * hankel_matrix(b, n).entries)
+        toeplitz_matrix(a, n, tol).entries + sign * hankel_matrix(b, n, tol).entries)
 
 
 # ---------------------------------------------------------------------------
 # Laurent-window block calculus
 # ---------------------------------------------------------------------------
-
-
-def multiplication_matrix(a: PCSymbol, half_window: int) -> np.ndarray:
-    """Truncated bi-infinite multiplication operator on t^-N..t^(N-1)."""
-    n = 2 * half_window
-    coeffs = coefficient_range(a, -(n - 1), n - 1)
-    col = coeffs[n - 1:]
-    row = coeffs[: n][::-1]
-    return _toeplitz_la(col, row)
 
 
 def riesz_projection_matrix(half_window: int) -> np.ndarray:
@@ -145,6 +136,7 @@ def block_assembly(a: PCSymbol, b: PCSymbol, half_window: int) -> BlockAssembly:
 
     and the diagonal factor diag(X + YJ, X - YJ), checking that the second
     row of the block operator equals the flip conjugation of the first.
+    The multiplication operators are the sections of size 2N on the window.
     """
     if half_window < 1:
         raise PreconditionViolation("half window must be >= 1")
@@ -152,10 +144,10 @@ def block_assembly(a: PCSymbol, b: PCSymbol, half_window: int) -> BlockAssembly:
     P = riesz_projection_matrix(half_window)
     Q = np.eye(n) - P
     J = flip_matrix(half_window)
-    Ma = multiplication_matrix(a, half_window)
-    Mb = multiplication_matrix(b, half_window)
-    Mat = multiplication_matrix(sy.tilde(a), half_window)
-    Mbt = multiplication_matrix(sy.tilde(b), half_window)
+    Ma = toeplitz_matrix(a, n).entries
+    Mb = toeplitz_matrix(b, n).entries
+    Mat = toeplitz_matrix(sy.tilde(a), n).entries
+    Mbt = toeplitz_matrix(sy.tilde(b), n).entries
 
     X = P @ Ma @ P + Q
     Y = P @ Mb @ Q
@@ -324,11 +316,11 @@ class KernelFormulaResult:
     reduced_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def kernel_formula_eval(pair: MatchingPair, p, n: int = 512,
-                        sv_threshold: float = SV_THRESHOLD) -> KernelFormulaResult:
-    """dim ker diag(T(a)+H(b), T(a)-H(b)) from the subordinated indices.
-
-    With kappa1 = ind T(d) and kappa2 = ind T(c):
+def kernel_formula_eval(pair: MatchingPair, kappa1: int, kappa2: int, n: int = 512,
+                        sv_threshold: float = SV_THRESHOLD,
+                        tol: float = QUADRATURE_TOL) -> KernelFormulaResult:
+    """dim ker diag(T(a)+H(b), T(a)-H(b)) from the subordinated indices
+    kappa1 = ind T(d) and kappa2 = ind T(c) of the pair:
 
     * in the three sign-agreeing quadrants the dimension equals
       dim ker diag(T(d), T(c)) = max(kappa1, 0) + max(kappa2, 0);
@@ -340,10 +332,9 @@ def kernel_formula_eval(pair: MatchingPair, p, n: int = 512,
       acting on im P_{kappa1-1}, realized on size-n sections, i.e.
       kappa1 - rank of a (-kappa2) x kappa1 matrix.  The variant with the
       projection of rank -kappa2 + 2 is evaluated alongside for logging.
-    """
-    kappa2 = toeplitz_index(pair.c, p).require()
-    kappa1 = toeplitz_index(pair.d, p).require()
 
+    ``tol`` bounds the quadrature coefficients of the sections.
+    """
     if kappa1 >= 0 and kappa2 >= 0:
         return KernelFormulaResult(kappa1 + kappa2, kappa1, kappa2, "k1>=0,k2>=0")
     if kappa1 < 0 and kappa2 >= 0:
@@ -357,9 +348,9 @@ def kernel_formula_eval(pair: MatchingPair, p, n: int = 512,
     w = sy.inverse(sy.tilde(pair.a))
 
     def compression(size: int) -> np.ndarray:
-        a_u0 = toeplitz_matrix(u0, size).entries
-        a_v0 = toeplitz_matrix(v0, size).entries
-        a_w = toeplitz_matrix(w, size).entries
+        a_u0 = toeplitz_matrix(u0, size, tol).entries
+        a_v0 = toeplitz_matrix(v0, size, tol).entries
+        a_w = toeplitz_matrix(w, size, tol).entries
         rhs = np.zeros((size, kappa1), dtype=complex)
         for j in range(kappa1):
             rhs[j, j] = 1.0

@@ -443,14 +443,6 @@ def conjugate(sym: PCSymbol) -> PCSymbol:
     return Conjugate(sym)
 
 
-def monomial(n: int) -> Monomial:
-    return Monomial(n)
-
-
-def const(value: complex) -> Const:
-    return Const(value)
-
-
 def power_arc(beta: complex, anchor: CirclePoint | float = POINT_ONE) -> PCSymbol:
     if not isinstance(anchor, CirclePoint):
         anchor = CirclePoint(anchor)

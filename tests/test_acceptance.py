@@ -13,6 +13,7 @@ import pytest
 from th_invert import symbols as sy
 from th_invert.analyzer import (
     MINUS_KEY,
+    Analysis,
     PLUS_KEY,
     classify,
     classify_with_probing,
@@ -36,7 +37,6 @@ from th_invert.sections import (
     apply_operator,
     block_assembly,
     idempotent_identity_residual,
-    kernel_formula_eval,
     numerical_kernel,
     th_section,
     verify_product_identities,
@@ -228,7 +228,7 @@ def test_criterion_7_shift_minus_pair():
     ok &= abs(c0.real - quad) < 1e-8
     ok &= abs(c0) > 1e-6
     pair = quarter_twist_pair(-1)
-    res = kernel_formula_eval(pair, 1.5)
+    res = Analysis(pair, 1.5).formula()
     ok &= res.dimension == 0
     for p in (1.5, 3.0):
         rep = classify_with_probing(pair, p)

@@ -6,6 +6,7 @@ import pytest
 from th_invert.analyzer import (
     MINUS_KEY,
     PLUS_KEY,
+    OperatorRecord,
     classify,
     classify_with_probing,
     cross_check,
@@ -15,7 +16,7 @@ from th_invert.analyzer import (
 )
 from th_invert.calculus import toeplitz_index
 from th_invert.catalog import quarter_twist, quarter_twist_pair
-from th_invert.errors import NotFredholmAtP
+from th_invert.errors import InconsistentRecord, NotFredholmAtP
 from th_invert.matching import make_matching_pair
 from th_invert.sampling import random_matching_pair
 from th_invert.symbols import Const, Monomial
@@ -269,3 +270,10 @@ def test_shneiberg_constancy_between_critical_points(quarter_pair):
         assert toeplitz_index(quarter_pair.d, p).index == -1
     for p in (2.05, 2.5, 3.0, 4.5, 8.0):
         assert toeplitz_index(quarter_pair.d, p).index == -2
+
+
+def test_inconsistent_record_raises():
+    # ind = ker - coker is checked with a real exception, also under python -O
+    rec = OperatorRecord(True, index=1, kernel_dim=0, cokernel_dim=0)
+    with pytest.raises(InconsistentRecord):
+        rec.finalize()

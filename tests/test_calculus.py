@@ -17,7 +17,6 @@ from th_invert.calculus import (
     toeplitz_index,
     toeplitz_symbol_curve,
     weight_functions,
-    weights_on_grid,
     winding,
     y_grid,
 )

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -27,6 +28,39 @@ QUARTER_CONFIG = {
     "p_values": [1.5, 3.0],
     "finite_section_n": 256,
 }
+
+# the pair (i, sign(Im t)) generating iI + H(sign(Im t))
+HALF_PLANE_CONFIG = {
+    "symbols": {
+        "a": {"op": "const", "re": 0.0, "im": 1.0},
+        "b": {"op": "piecewise_const", "break_angles": [0.0, math.pi],
+              "values": [1.0, -1.0]},
+    },
+    "p_values": [1.5, 2.0, 3.0],
+    "finite_section_n": 256,
+}
+
+# the quarter twist a with b = a t^-1: mixed subordinated indices whose joint
+# kernel comes from the kernel formula's compression
+SHIFT_MINUS_CONFIG = copy.deepcopy(QUARTER_CONFIG)
+SHIFT_MINUS_CONFIG["symbols"]["b"]["factors"][1]["n"] = -1
+SHIFT_MINUS_CONFIG["p_values"] = [1.5]
+
+# a = 1/(3 + t) and b = ~a t: no closed-form Fourier coefficients, and the
+# kernel split is read from finite sections
+_INV_SUM = {"op": "inverse", "child": {"op": "sum", "terms": [
+    {"op": "const", "re": 3.0}, {"op": "monomial", "n": 1}]}}
+QUADRATURE_CONFIG = {
+    "symbols": {
+        "a": _INV_SUM,
+        "b": {"op": "product", "factors": [{"op": "tilde", "child": _INV_SUM},
+                                           {"op": "monomial", "n": 1}]},
+    },
+    "p_values": [1.5],
+    "finite_section_n": 16,
+}
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture
@@ -175,3 +209,65 @@ def test_no_partial_artifact_on_failure(tmp_path, config_path):
     # (t, 2 + t) violates the matching condition: the command fails without writing
     assert main(["analyze", "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _analyze(tmp_path, cfg, name, *extra):
+    """Exit code and report text (None on failure) of analyze on cfg."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{name}-report.json"
+    code = main(["analyze", "--config", str(path), "--out", str(out), *extra])
+    return code, (out.read_text() if code == 0 else None)
+
+
+def _with_tolerances(cfg, **tolerances):
+    changed = copy.deepcopy(cfg)
+    changed["tolerances"] = tolerances
+    return changed
+
+
+@pytest.mark.parametrize("name, cfg", [("analyze_quarter", QUARTER_CONFIG),
+                                       ("analyze_half_plane", HALF_PLANE_CONFIG)])
+def test_analyze_report_matches_golden_file(tmp_path, name, cfg):
+    code, text = _analyze(tmp_path, cfg, name)
+    assert code == 0
+    with open(os.path.join(DATA, f"{name}.json"), "rb") as fh:
+        assert text.encode() == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# every tolerance of the config reaches the analysis
+# ---------------------------------------------------------------------------
+
+
+def test_winding_tolerance_reaches_curves_and_checks(tmp_path):
+    assert _analyze(tmp_path, QUARTER_CONFIG, "default")[0] == 0
+    # every curve and symbol check passes within 10 of the origin
+    assert _analyze(tmp_path, _with_tolerances(QUARTER_CONFIG, winding=10.0), "w")[0] == 1
+
+
+def test_invertibility_tolerance_reaches_matching_check(tmp_path):
+    # |a| = |b| = 1 on the circle
+    code, _ = _analyze(tmp_path, _with_tolerances(QUARTER_CONFIG, invertibility=10.0), "i")
+    assert code == 1
+
+
+def test_sv_threshold_reaches_kernel_formula(tmp_path):
+    code, text = _analyze(tmp_path, SHIFT_MINUS_CONFIG, "default", "--n", "16")
+    assert code == 0
+    assert json.loads(text)["reports"][0]["kernel_dim"] == 0  # compression rank 1
+    # a threshold above every singular value leaves rank 0: joint kernel 1
+    code, changed = _analyze(tmp_path, _with_tolerances(SHIFT_MINUS_CONFIG, sv_threshold=1e3),
+                             "sv", "--n", "16")
+    assert code == 0
+    assert "joint kernel dimension of the pair = 1" in changed
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quadrature_tolerance_reaches_sections(tmp_path):
+    code, text = _analyze(tmp_path, QUADRATURE_CONFIG, "default")
+    assert code == 0
+    assert "taken from finite sections of size 16" in text
+    # no quadrature certifies an error below 1e-300
+    tight = _with_tolerances(QUADRATURE_CONFIG, quadrature=1e-300)
+    assert _analyze(tmp_path, tight, "q")[0] == 1

@@ -14,7 +14,6 @@ from th_invert.matching import (
     is_matching_pair,
     make_matching_pair,
     pair_product,
-    subordinated_pair,
 )
 from th_invert.symbols import CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
 
@@ -63,8 +62,7 @@ def test_subordination_consistency(quarter_pair, half_plane_pair, right_half_pai
 
 
 def test_matching_functions_satisfy_unit_product(quarter_pair):
-    c, d = subordinated_pair(quarter_pair)
-    for f in (c, d):
+    for f in (quarter_pair.c, quarter_pair.d):
         assert max_grid_deviation(f * sy.tilde(f), Const(1.0)) < 1e-10
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from th_invert import symbols as sy
+from th_invert.analyzer import Analysis
 from th_invert.catalog import quarter_twist, quarter_twist_pair
 from th_invert.errors import NoSpectralGap, NotPolynomial
 from th_invert.matching import make_matching_pair
@@ -260,14 +261,15 @@ def test_projection_upper_matches_shift_identity():
 
 def test_kernel_formula_trivial_pair():
     pair = make_matching_pair(Const(1.0), Const(1.0))
-    assert kernel_formula_eval(pair, 2.0).dimension == 0
+    assert kernel_formula_eval(pair, 0, 0).dimension == 0
+    assert Analysis(pair, 2.0).formula().dimension == 0
 
 
 def test_kernel_formula_nonneg_quadrant():
     # kappa1, kappa2 >= 0: dimension = kappa1 + kappa2; oracle via sections of
     # t^-kappa * psi0 is the one-sided invertibility of scalar Toeplitz operators
     pair = make_matching_pair(Monomial(-2), Const(1.0))  # c = t^-2, d = t^-2
-    res = kernel_formula_eval(pair, 2.0)
+    res = Analysis(pair, 2.0).formula()
     assert (res.kappa1, res.kappa2) == (2, 2)
     assert res.dimension == 4
     k_plus = numerical_kernel(th_section(pair.a, pair.b, 1, 64)).dimension
@@ -277,7 +279,7 @@ def test_kernel_formula_nonneg_quadrant():
 
 def test_kernel_formula_mixed_quadrant_shiftminus(quarter_pair):
     pair = quarter_twist_pair(-1)
-    res = kernel_formula_eval(pair, 1.5)
+    res = Analysis(pair, 1.5).formula()
     assert (res.kappa1, res.kappa2) == (1, -1)
     assert res.quadrant == "k1>=0,k2<0"
     assert res.dimension == 0 and res.rank == 1
@@ -291,7 +293,7 @@ def test_kernel_formula_mixed_quadrant_shiftminus(quarter_pair):
 
 
 def test_kernel_formula_mixed_quadrant_alt_projection(quarter_pair):
-    res = kernel_formula_eval(quarter_twist_pair(-1), 1.5)
+    res = Analysis(quarter_twist_pair(-1), 1.5).formula()
     assert res.alt_dimension is not None  # both projection variants computed
 
 
