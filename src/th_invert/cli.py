@@ -20,7 +20,7 @@ from .analyzer import Analysis, classify_with_probing, cross_check
 from .calculus import toeplitz_index, toeplitz_symbol_curve, weight_functions, y_grid
 from .config import AnalysisConfig, encode_symbol, parse_config
 from .errors import ConfigError, THInvertError
-from .matching import MatchRejection, is_matching_pair, make_matching_pair
+from .matching import MatchingPair, MatchRejection, is_matching_pair
 from .sampling import random_matching_pair
 from .sections import (
     apply_operator,
@@ -60,12 +60,24 @@ def _load_config(path: str | None) -> AnalysisConfig:
         return parse_config(fh.read())
 
 
+def _matching_pair(cfg: AnalysisConfig) -> MatchingPair:
+    """The config's (a, b); a pair that violates the matching condition is a
+    config error."""
+    tol = cfg.tolerances
+    result = is_matching_pair(cfg.symbol("a"), cfg.symbol("b"), tol.matching,
+                              invertibility_tol=tol.invertibility)
+    if isinstance(result, MatchRejection):
+        raise ConfigError(
+            f"(a, b) is not a matching pair (residual {result.max_residual:.3e}); "
+            "the one-sided classification rules require the matching condition")
+    return result
+
+
 def _resolve_symbol(cfg: AnalysisConfig, name: str) -> PCSymbol:
     if name in cfg.symbols:
         return cfg.symbols[name]
     if name in ("c", "d"):
-        pair = make_matching_pair(cfg.symbol("a"), cfg.symbol("b"), cfg.tolerances.matching,
-                                  cfg.tolerances.invertibility)
+        pair = _matching_pair(cfg)
         return pair.c if name == "c" else pair.d
     raise ConfigError(f"unknown symbol '{name}' (config names: {sorted(cfg.symbols)})")
 
@@ -76,14 +88,8 @@ def cmd_analyze(args) -> int:
     if not p_values:
         raise ConfigError("no exponents: provide p_values in the config or --p")
     n = args.n or cfg.finite_section_n
-    a, b = cfg.symbol("a"), cfg.symbol("b")
-    tol = cfg.tolerances
-    result = is_matching_pair(a, b, tol.matching, invertibility_tol=tol.invertibility)
-    if isinstance(result, MatchRejection):
-        raise ConfigError(
-            f"(a, b) is not a matching pair (residual {result.max_residual:.3e}); "
-            "the one-sided classification rules require the matching condition")
-    reports = [classify_with_probing(result, p, n_section=n, tolerances=tol).to_dict()
+    pair = _matching_pair(cfg)
+    reports = [classify_with_probing(pair, p, n_section=n, tolerances=cfg.tolerances).to_dict()
                for p in p_values]
     doc = {
         "tool": "th-invert",

@@ -9,8 +9,18 @@ inversion, complex conjugation and the substitution t -> 1/t (written
 * exact one-sided evaluation ``a(t+0)`` / ``a(t-0)`` at any circle point,
   where ``t+0`` is the limit along the counterclockwise-forward side;
 * enumeration of its jump points;
-* Fourier coefficients, analytically where a closed form exists and by
+* Fourier coefficients in closed form wherever the symbol has one, and by
   adaptive quadrature split at the jump points otherwise.
+
+Closed forms come from two places.  The leaves, sums of them and a leaf
+times a constant and a monomial have exact per-node formulas.  Every other
+product, tilde, inverse and conjugate of constants, monomials, power arcs,
+piecewise constants and half-circle extensions is piecewise exp-linear,
+c_j * exp(i lam_j theta) on the arcs between its breaks, and its
+coefficients are sums of one closed-form integral per arc
+(:func:`_exp_pieces`).  Quadrature is left to symbols built with a sum,
+``Exp`` or ``PiecewiseLinear`` node that no per-node formula covers, such
+as ``1/(3 + t)``.
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
@@ -25,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -367,7 +377,9 @@ def inverse(sym: PCSymbol) -> PCSymbol:
     if isinstance(sym, Tilde):
         return tilde(inverse(sym.child))
     if isinstance(sym, Conjugate):
-        return conjugate(inverse(sym.child))
+        inner = inverse(sym.child)
+        # conjugate(Inverse(x)) rewrites to inverse(Conjugate(x)): stop here
+        return Inverse(sym) if isinstance(inner, Inverse) else conjugate(inner)
     return Inverse(sym)
 
 
@@ -845,6 +857,116 @@ def _affine_integral(a0: float, a1: float, c0: complex, c1: complex, n: int) -> 
     return c0 * (e0 - e1) / (1j * n) + c1 * lin
 
 
+class ExpPieces(NamedTuple):
+    """A symbol that is c[j] * exp(i * lam[j] * theta) on the arc from
+    breaks[j] to breaks[j+1], where 0 = breaks[0] < ... < breaks[-1] = 2*pi."""
+
+    breaks: np.ndarray
+    c: np.ndarray
+    lam: np.ndarray
+
+
+def _pieces(breaks, c, lam) -> ExpPieces:
+    return ExpPieces(np.asarray(breaks, dtype=float), np.asarray(c, dtype=complex),
+                     np.asarray(lam, dtype=complex))
+
+
+def _pieces_at(pieces: ExpPieces, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, lam) of the arc holding each angle of (0, 2*pi)."""
+    j = np.searchsorted(pieces.breaks, thetas, side="right") - 1
+    return pieces.c[j], pieces.lam[j]
+
+
+def _common_arcs(*breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Union of several break arrays, with the midpoint of each arc."""
+    breaks = np.unique(np.concatenate(breaks))
+    return breaks, 0.5 * (breaks[:-1] + breaks[1:])
+
+
+@lru_cache(maxsize=4096)
+def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
+    """The symbol as piecewise exp-linear arcs, or None when it is not one.
+
+    ``Sum``, ``Exp`` and ``PiecewiseLinear`` nodes (and every node above
+    them) have no such form.  An inverse raises DivisionBySmallModulus where
+    ``evaluate`` would: |c * exp(i lam theta)| is monotone on each arc, so
+    its minimum is at an arc end.
+    """
+    if isinstance(sym, Const):
+        return _pieces([0.0, TWO_PI], [sym.value], [0.0])
+    if isinstance(sym, Monomial):
+        return _pieces([0.0, TWO_PI], [1.0], [sym.n])
+    if isinstance(sym, PowerArc):
+        beta, alpha = sym.beta, sym.anchor.angle
+        tail = cmath.exp(-1j * beta * (math.pi + alpha))  # theta in (alpha, 2*pi)
+        if alpha == 0.0:
+            return _pieces([0.0, TWO_PI], [tail], [beta])
+        head = cmath.exp(1j * beta * (math.pi - alpha))  # theta in (0, alpha)
+        return _pieces([0.0, alpha, TWO_PI], [head, tail], [beta, beta])
+    if isinstance(sym, PiecewiseConst):
+        angles = [b.angle for b in sym.breaks]
+        values = list(sym.values)
+        if angles[0] > 0.0:  # the last arc wraps through angle 0
+            angles.insert(0, 0.0)
+            values.insert(0, values[-1])
+        return _pieces(angles + [TWO_PI], values, np.zeros(len(values)))
+    if isinstance(sym, Product):
+        parts = [_exp_pieces(f) for f in sym.factors]
+        if any(p is None for p in parts):
+            return None
+        breaks, mid = _common_arcs(*(p.breaks for p in parts))
+        c = np.ones(len(mid), dtype=complex)
+        lam = np.zeros(len(mid), dtype=complex)
+        for p in parts:
+            pc, plam = _pieces_at(p, mid)
+            c, lam = c * pc, lam + plam
+        return _pieces(breaks, c, lam)
+    if isinstance(sym, Inverse):
+        p = _exp_pieces(sym.child)
+        if p is None:
+            return None
+        modulus = np.abs(p.c) * np.minimum(np.exp(-p.lam.imag * p.breaks[:-1]),
+                                           np.exp(-p.lam.imag * p.breaks[1:]))
+        if np.min(modulus) < INVERTIBILITY_TOL:
+            raise DivisionBySmallModulus(
+                f"modulus {np.min(modulus):.3e} below tolerance {INVERTIBILITY_TOL:.1e}")
+        return _pieces(p.breaks, 1.0 / p.c, -p.lam)
+    if isinstance(sym, Tilde):
+        p = _exp_pieces(sym.child)
+        if p is None:
+            return None
+        # c exp(i lam (2 pi - theta)) on the reflected arc
+        return _pieces(TWO_PI - p.breaks[::-1], (p.c * np.exp(TWO_PI * 1j * p.lam))[::-1],
+                       -p.lam[::-1])
+    if isinstance(sym, Conjugate):
+        p = _exp_pieces(sym.child)
+        return None if p is None else _pieces(p.breaks, p.c.conj(), -p.lam.conj())
+    if isinstance(sym, HalfCircleExtension):
+        upper = _exp_pieces(sym.g0)
+        if upper is None:
+            return None
+        lower = _exp_pieces(Inverse(Tilde(sym.g0)))
+        breaks, mid = _common_arcs(upper.breaks, lower.breaks, [math.pi])
+        (uc, ulam), (lc, llam) = _pieces_at(upper, mid), _pieces_at(lower, mid)
+        top = mid < math.pi
+        return _pieces(breaks, np.where(top, uc, lc), np.where(top, ulam, llam))
+    return None
+
+
+def _piece_coefficients(pieces: ExpPieces, ns: np.ndarray) -> np.ndarray:
+    """(1/2pi) sum_j c_j * integral over arc j of exp(i (lam_j - n) theta), for each n."""
+    a0 = pieces.breaks[:-1, None]
+    length = np.diff(pieces.breaks)[:, None]
+    mu = pieces.lam[:, None] - np.asarray(ns, dtype=float)[None, :]
+    z = 1j * mu * length
+    # (e^z - 1)/z, by its Taylor series near z = 0
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    ratio = np.where(small, 1.0 + z / 2 * (1.0 + z / 3 * (1.0 + z / 4)), np.expm1(safe) / safe)
+    terms = pieces.c[:, None] * np.exp(1j * mu * a0) * length * ratio
+    return terms.sum(axis=0) / TWO_PI
+
+
 def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex, float]:
     """Coefficient by panelwise quadrature split at the jump angles.
 
@@ -926,6 +1048,9 @@ def _coefficient_cached(sym: PCSymbol, n: int, method: str, tol: float):
         value = _analytic_coefficient(sym, n)
         if value is not None:
             return complex(value), "analytic", None
+        pieces = _exp_pieces(sym)
+        if pieces is not None:
+            return complex(_piece_coefficients(pieces, [n])[0]), "analytic", None
         if method == "analytic":
             raise PreconditionViolation("no closed-form coefficient for this symbol")
     value, bound = _quadrature_coefficient(sym, n, tol)
@@ -946,7 +1071,15 @@ def fourier_coefficient(sym: PCSymbol, n: int, method: str = "auto",
 
 def coefficient_range(sym: PCSymbol, lo: int, hi: int, method: str = "auto",
                       tol: float = QUADRATURE_TOL) -> np.ndarray:
-    """Array of coefficients for indices lo..hi inclusive."""
+    """Array of coefficients for indices lo..hi inclusive.
+
+    A symbol that only the piecewise exp-linear form covers gets the whole
+    range from one vectorized closed form.
+    """
+    if method != "quadrature" and _analytic_coefficient(sym, lo) is None:
+        pieces = _exp_pieces(sym)
+        if pieces is not None:
+            return _piece_coefficients(pieces, np.arange(lo, hi + 1))
     return np.array([fourier_coefficient(sym, n, method, tol).value for n in range(lo, hi + 1)])
 
 

@@ -60,6 +60,14 @@ QUADRATURE_CONFIG = {
     "finite_section_n": 16,
 }
 
+# (t, 2 + t) violates the matching condition
+NON_MATCHING_CONFIG = {
+    "symbols": {"a": {"op": "monomial", "n": 1},
+                "b": {"op": "sum", "terms": [{"op": "const", "re": 2.0},
+                                             {"op": "monomial", "n": 1}]}},
+    "p_values": [2.0],
+}
+
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
@@ -200,14 +208,19 @@ def test_bad_config_exit_code(tmp_path):
 def test_no_partial_artifact_on_failure(tmp_path, config_path):
     out = tmp_path / "sub" / "report.json"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "symbols": {"a": {"op": "monomial", "n": 1},
-                    "b": {"op": "sum", "terms": [{"op": "const", "re": 2.0},
-                                                 {"op": "monomial", "n": 1}]}},
-        "p_values": [2.0],
-    }))
-    # (t, 2 + t) violates the matching condition: the command fails without writing
+    bad.write_text(json.dumps(NON_MATCHING_CONFIG))
+    # the command fails without writing
     assert main(["analyze", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["c", "d"])
+def test_curve_rejects_non_matching_pair_as_config_error(tmp_path, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(NON_MATCHING_CONFIG))
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--config", str(bad), "--symbol", name, "--p", "2.0",
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -284,6 +284,116 @@ def test_piecewise_linear_coefficients():
         assert abs(an - qn) < 1e-10
 
 
+@st.composite
+def exp_linear_leaves(draw, allow_extension=True):
+    moduli = st.floats(0.5, 2.0)
+    phases = st.floats(-math.pi, math.pi)
+    choice = draw(st.integers(0, 4 if allow_extension else 3))
+    if choice == 0:
+        return Const(draw(moduli) * cmath.exp(1j * draw(phases)))
+    if choice == 1:
+        return Monomial(draw(st.integers(-3, 3)))
+    if choice == 2:
+        beta = complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.3, 0.3)))
+        return PowerArc(beta, CirclePoint(draw(st.floats(0, TWO_PI - 1e-6))))
+    if choice == 3:
+        breaks = sorted(draw(st.lists(st.floats(0, TWO_PI - 1e-3), min_size=1, max_size=3,
+                                      unique=True)))
+        if any(b - a < 1e-3 for a, b in zip(breaks, breaks[1:])):
+            breaks = breaks[:1]
+        values = [draw(moduli) * cmath.exp(1j * draw(phases)) for _ in breaks]
+        return PiecewiseConst(tuple(breaks), tuple(values))
+    return sy.HalfCircleExtension(draw(exp_linear_leaves(allow_extension=False)))
+
+
+@st.composite
+def exp_linear_symbols(draw):
+    """Products of exp-linear leaves under raw and simplifying tilde,
+    inverse and conjugate nodes."""
+    sym = sy.Product(tuple(draw(st.lists(exp_linear_leaves(), min_size=2, max_size=3))))
+    wraps = [sy.Tilde, sy.Inverse, sy.Conjugate, sy.tilde, sy.inverse, sy.conjugate]
+    for wrap in draw(st.lists(st.sampled_from(wraps), max_size=2)):
+        sym = wrap(sym)
+    return sym
+
+
+def _piece_values(pieces, thetas):
+    j = np.searchsorted(pieces.breaks, thetas, side="right") - 1
+    return pieces.c[j] * np.exp(1j * pieces.lam[j] * thetas)
+
+
+def _off_jump_angles(sym, rng, count=64):
+    thetas = rng.uniform(0.0, TWO_PI, count)
+    jumps = np.array(sorted(sy._jump_candidates(sym) | {0.0, math.pi, TWO_PI}))
+    gap = np.min(np.abs(thetas[:, None] - jumps[None, :]), axis=1)
+    return thetas[gap > 1e-6]
+
+
+@given(exp_linear_symbols(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_exp_pieces_evaluate_like_the_tree(sym, seed):
+    pieces = sy._exp_pieces(sym)
+    assert pieces is not None
+    thetas = _off_jump_angles(sym, np.random.default_rng(seed))
+    expected = sy.evaluate_array(sym, thetas)
+    got = _piece_values(pieces, thetas)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+@given(exp_linear_symbols())
+@settings(max_examples=30, deadline=None)
+def test_exp_pieces_coefficients_match_quadrature(sym):
+    # |n| = 60 takes the oscillatory-weight branch of the quadrature
+    ns = (0, 7, -7, 60, -60)
+    pieces = sy._piece_coefficients(sy._exp_pieces(sym), ns)
+    for n, from_pieces in zip(ns, pieces):
+        closed = fourier_coefficient(sym, n)
+        quad = fourier_coefficient(sym, n, method="quadrature").value
+        assert closed.provenance == "analytic"
+        assert abs(closed.value - quad) < 1e-11
+        assert abs(from_pieces - quad) < 1e-11
+
+
+def test_exp_pieces_near_resonance():
+    # beta1 + beta2 = 1 + 1e-9 on the arc between the anchors: (lam - n) L ~ 1e-9 at n = 1
+    sym = sy.Product((PowerArc(0.3 + 1e-9, CirclePoint(1.0)), PowerArc(0.7, CirclePoint(4.0))))
+    closed = fourier_coefficient(sym, 1)
+    assert closed.provenance == "analytic"
+    assert sy._analytic_coefficient(sym, 1) is None  # served by the piece path
+    quad = fourier_coefficient(sym, 1, method="quadrature")
+    assert abs(closed.value - quad.value) < 1e-12
+
+
+def test_inverse_of_conjugated_extension_terminates():
+    h = sy.HalfCircleExtension(PowerArc(0.25, CirclePoint(1.0)))
+    sym = sy.inverse(sy.conjugate(h))
+    thetas = np.array([0.5, 2.0, 4.0])
+    expected = 1.0 / np.conj(sy.evaluate_array(h, thetas))
+    assert np.max(np.abs(sy.evaluate_array(sym, thetas) - expected)) < 1e-14
+    assert sy.inverse(sym) == sy.conjugate(h)
+
+
+def test_exp_pieces_inverse_rejects_small_modulus():
+    with pytest.raises(DivisionBySmallModulus):
+        sy._exp_pieces(sy.Inverse(PiecewiseConst((0.0, math.pi), (1.0, 1e-12))))
+
+
+def test_inverse_of_sum_keeps_quadrature():
+    sym = sy.inverse(sy.add(Const(3.0), Monomial(1)))
+    assert fourier_coefficient(sym, 2).provenance == "quadrature"
+    with pytest.raises(PreconditionViolation):
+        fourier_coefficient(sym, 2, method="analytic")
+
+
+def test_coefficient_range_matches_single_coefficients():
+    sym = sy.product(PowerArc(0.3 + 0.1j, CirclePoint(1.0)),
+                     sy.HalfCircleExtension(PowerArc(0.25, CirclePoint(2.0))))
+    assert sy._analytic_coefficient(sym, 0) is None and sy._exp_pieces(sym) is not None
+    lo, hi = -40, 70
+    single = np.array([fourier_coefficient(sym, n).value for n in range(lo, hi + 1)])
+    assert np.max(np.abs(sy.coefficient_range(sym, lo, hi) - single)) <= 1e-15
+
+
 def test_laurent_coefficients_roundtrip():
     poly = sy.add(Const(2.0) * Monomial(-3), Const(1j) * Monomial(2))
     coeffs = sy.laurent_coefficients(poly)
