@@ -18,8 +18,8 @@ import numpy as np
 from . import catalog
 from .analyzer import Analysis, classify_with_probing, cross_check
 from .calculus import toeplitz_index, toeplitz_symbol_curve, weight_functions, y_grid
-from .config import AnalysisConfig, encode_symbol, parse_config
-from .errors import ConfigError, THInvertError
+from .config import AnalysisConfig, check_exponent, check_section_size, encode_symbol, parse_config
+from .errors import ConfigError, THInvertError, ValidationError
 from .matching import MatchingPair, MatchRejection, is_matching_pair
 from .sampling import random_matching_pair
 from .sections import (
@@ -82,12 +82,21 @@ def _resolve_symbol(cfg: AnalysisConfig, name: str) -> PCSymbol:
     raise ConfigError(f"unknown symbol '{name}' (config names: {sorted(cfg.symbols)})")
 
 
+def _exponents(text: str) -> list[float]:
+    """The exponents of a --p override, validated like the config's p_values."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--p: expected comma-separated numbers, got {text!r}") from None
+    return [check_exponent(p, "--p") for p in values]
+
+
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
-    p_values = [float(x) for x in args.p.split(",")] if args.p else cfg.p_values
+    p_values = _exponents(args.p) if args.p else cfg.p_values
     if not p_values:
         raise ConfigError("no exponents: provide p_values in the config or --p")
-    n = args.n or cfg.finite_section_n
+    n = cfg.finite_section_n if args.n is None else check_section_size(args.n, "--n")
     pair = _matching_pair(cfg)
     reports = [classify_with_probing(pair, p, n_section=n, tolerances=cfg.tolerances).to_dict()
                for p in p_values]
@@ -107,7 +116,7 @@ def cmd_curve(args) -> int:
     cfg = _load_config(args.config)
     if not args.p:
         raise ConfigError("curve requires --p")
-    p = float(args.p.split(",")[0])
+    p = _exponents(args.p)[0]
     symbol = _resolve_symbol(cfg, args.symbol)
     curve = toeplitz_symbol_curve(symbol, p)
     lines = ["segment,param,re,im"]

@@ -162,6 +162,20 @@ class AnalysisConfig:
         return self.symbols[name]
 
 
+def check_exponent(p: float, where: str = "p_values") -> float:
+    """An exponent of H^p, which must lie in the open interval (1, inf)."""
+    if not (1.0 < float(p) < math.inf):
+        raise ValidationError(f"{where}: exponent {p} outside the open interval (1, inf)")
+    return float(p)
+
+
+def check_section_size(n: int, where: str = "finite_section_n") -> int:
+    """A finite-section size, which must be an integer of at least 16."""
+    if not isinstance(n, int) or n < 16:
+        raise ValidationError(f"{where} must be an integer >= 16")
+    return n
+
+
 _TOP_LEVEL_FIELDS = {"symbols", "p_values", "tolerances", "finite_section_n", "outputs"}
 
 
@@ -185,9 +199,7 @@ def parse_config(text: str) -> AnalysisConfig:
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, list) or not all(isinstance(p, (int, float)) for p in p_values):
         raise ValidationError("field 'p_values' must be a list of numbers")
-    for p in p_values:
-        if not (1.0 < float(p) < math.inf):
-            raise ValidationError(f"p_values: exponent {p} outside the open interval (1, inf)")
+    p_values = [check_exponent(p) for p in p_values]
 
     tolerances = {}
     for key, val in raw.get("tolerances", {}).items():
@@ -197,14 +209,11 @@ def parse_config(text: str) -> AnalysisConfig:
             raise ValidationError(f"tolerances.{key} must be a positive number")
         tolerances[key] = float(val)
 
-    n = raw.get("finite_section_n", 256)
-    if not isinstance(n, int) or n < 16:
-        raise ValidationError("finite_section_n must be an integer >= 16")
+    n = check_section_size(raw.get("finite_section_n", 256))
 
     outputs = raw.get("outputs", {})
     if not isinstance(outputs, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in outputs.items()):
         raise ValidationError("outputs must map names to path strings")
 
-    return AnalysisConfig(symbols, [float(p) for p in p_values], Tolerances(**tolerances),
-                          n, outputs)
+    return AnalysisConfig(symbols, p_values, Tolerances(**tolerances), n, outputs)

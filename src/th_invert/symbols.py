@@ -12,15 +12,15 @@ inversion, complex conjugation and the substitution t -> 1/t (written
 * Fourier coefficients in closed form wherever the symbol has one, and by
   adaptive quadrature split at the jump points otherwise.
 
-Closed forms come from two places.  The leaves, sums of them and a leaf
-times a constant and a monomial have exact per-node formulas.  Every other
-product, tilde, inverse and conjugate of constants, monomials, power arcs,
-piecewise constants and half-circle extensions is piecewise exp-linear,
-c_j * exp(i lam_j theta) on the arcs between its breaks, and its
-coefficients are sums of one closed-form integral per arc
-(:func:`_exp_pieces`).  Quadrature is left to symbols built with a sum,
-``Exp`` or ``PiecewiseLinear`` node that no per-node formula covers, such
-as ``1/(3 + t)``.
+Closed forms come from one place.  Every sum, product, tilde and conjugate
+of constants, monomials, power arcs, piecewise constants, and of inverses
+and half-circle extensions of single terms, is a sum of piecewise
+exp-linear terms, each c_j * exp(i lam_j theta) on the arcs between its
+breaks (:func:`_exp_terms`).  Its coefficients are sums of one closed-form
+integral per arc, exactly c or 0 for a term c * t^k, and a finite Laurent
+polynomial is a sum of such terms.  A bare ``PiecewiseLinear`` has its own
+affine formula.  Quadrature is left to ``Exp``, to inverses of sums such as
+``1/(3 + t)`` and to every symbol built on them.
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -584,14 +585,15 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
     if isinstance(sym, PiecewiseConst):
         idx = _piece_indices(sym.breaks, thetas)
         return np.asarray(sym.values, dtype=complex)[idx]
-    if isinstance(sym, PiecewiseLinear):
+    if isinstance(sym, PiecewiseLinear):  # _affine_value, one arc per angle
         idx = _piece_indices(sym.breaks, thetas)
-        out = np.empty(thetas.shape, dtype=complex)
-        for j in range(len(sym.breaks)):
-            mask = idx == j
-            if mask.any():
-                out[mask] = [_affine_value(sym, j, th) for th in thetas[mask]]
-        return out
+        angles = np.array([b.angle for b in sym.breaks])
+        a0, a1 = angles[idx], np.roll(angles, -1)[idx]
+        a1 = np.where(a1 <= a0, a1 + TWO_PI, a1)
+        th = np.minimum(np.where(thetas < a0, thetas + TWO_PI, thetas), a1)
+        s = (th - a0) / (a1 - a0)
+        starts, ends = np.asarray(sym.starts)[idx], np.asarray(sym.ends)[idx]
+        return starts + (ends - starts) * s
     if isinstance(sym, HalfCircleExtension):
         upper = (thetas <= math.pi)
         out = np.empty(thetas.shape, dtype=complex)
@@ -773,88 +775,26 @@ class FourierCoefficient:
     error_bound: Optional[float] = None
 
 
-def _analytic_coefficient(sym: PCSymbol, n: int) -> Optional[complex]:
-    """Closed-form coefficient, or None when no closed form applies."""
-    if isinstance(sym, Const):
-        return sym.value if n == 0 else 0.0 + 0.0j
-    if isinstance(sym, Monomial):
-        return 1.0 + 0.0j if n == sym.n else 0.0 + 0.0j
-    if isinstance(sym, PowerArc):
-        beta = sym.beta
-        if beta.imag == 0 and float(beta.real).is_integer():
-            m = int(beta.real)
-            base = (-1.0) ** m if n == m else 0.0
-        else:
-            base = cmath.sin(math.pi * beta) / (math.pi * (beta - n))
-        return cmath.exp(-1j * n * sym.anchor.angle) * base
-    if isinstance(sym, PiecewiseConst):
-        total = 0.0 + 0.0j
-        k = len(sym.breaks)
-        for j in range(k):
-            a0 = sym.breaks[j].angle
-            a1 = sym.breaks[(j + 1) % k].angle
-            if a1 <= a0:
-                a1 += TWO_PI
-            total += sym.values[j] * _segment_integral(a0, a1, n)
-        return total / TWO_PI
-    if isinstance(sym, PiecewiseLinear):
-        total = 0.0 + 0.0j
-        k = len(sym.breaks)
-        for j in range(k):
-            a0 = sym.breaks[j].angle
-            a1 = sym.breaks[(j + 1) % k].angle
-            if a1 <= a0:
-                a1 += TWO_PI
-            w0, w1 = sym.starts[j], sym.ends[j]
-            slope = (w1 - w0) / (a1 - a0)
-            total += _affine_integral(a0, a1, w0 - slope * a0, slope, n)
-        return total / TWO_PI
-    if isinstance(sym, Sum):
-        parts = [_analytic_coefficient(t, n) for t in sym.terms]
-        if any(p is None for p in parts):
-            return None
-        return sum(parts)
-    if isinstance(sym, Product):
-        scale = 1.0 + 0.0j
-        shift = 0
-        core: Optional[PCSymbol] = None
-        for f in sym.factors:
-            if isinstance(f, Const):
-                scale *= f.value
-            elif isinstance(f, Monomial):
-                shift += f.n
-            elif core is None:
-                core = f
-            else:
-                return None  # two non-trivial factors: no closed form
-        if core is None:
-            return scale if n == shift else 0.0 + 0.0j
-        inner = _analytic_coefficient(core, n - shift)
-        return None if inner is None else scale * inner
-    if isinstance(sym, Tilde):
-        inner = _analytic_coefficient(sym.child, -n)
-        return inner
-    if isinstance(sym, Conjugate):
-        inner = _analytic_coefficient(sym.child, -n)
-        return None if inner is None else inner.conjugate()
-    return None
-
-
-def _segment_integral(a0: float, a1: float, n: int) -> complex:
-    """integral of exp(-i n theta) over [a0, a1]."""
-    if n == 0:
-        return a1 - a0
-    return (cmath.exp(-1j * n * a0) - cmath.exp(-1j * n * a1)) / (1j * n)
-
-
-def _affine_integral(a0: float, a1: float, c0: complex, c1: complex, n: int) -> complex:
-    """integral of (c0 + c1*theta) exp(-i n theta) over [a0, a1]."""
-    if n == 0:
-        return c0 * (a1 - a0) + c1 * (a1 * a1 - a0 * a0) / 2.0
-    e0 = cmath.exp(-1j * n * a0)
-    e1 = cmath.exp(-1j * n * a1)
-    lin = ((a0 * e0 - a1 * e1) / (1j * n)) - (e0 - e1) / (n * n)
-    return c0 * (e0 - e1) / (1j * n) + c1 * lin
+def _affine_coefficient(sym: PiecewiseLinear, n: int) -> complex:
+    """n-th coefficient of the affine-in-angle interpolant: the integral of
+    (c0 + c1*theta) exp(-i n theta) over each arc."""
+    total = 0.0 + 0.0j
+    k = len(sym.breaks)
+    for j in range(k):
+        a0 = sym.breaks[j].angle
+        a1 = sym.breaks[(j + 1) % k].angle
+        if a1 <= a0:
+            a1 += TWO_PI
+        c1 = (sym.ends[j] - sym.starts[j]) / (a1 - a0)
+        c0 = sym.starts[j] - c1 * a0
+        if n == 0:
+            total += c0 * (a1 - a0) + c1 * (a1 * a1 - a0 * a0) / 2.0
+            continue
+        e0 = cmath.exp(-1j * n * a0)
+        e1 = cmath.exp(-1j * n * a1)
+        lin = ((a0 * e0 - a1 * e1) / (1j * n)) - (e0 - e1) / (n * n)
+        total += c0 * (e0 - e1) / (1j * n) + c1 * lin
+    return total / TWO_PI
 
 
 class ExpPieces(NamedTuple):
@@ -883,44 +823,65 @@ def _common_arcs(*breaks) -> tuple[np.ndarray, np.ndarray]:
     return breaks, 0.5 * (breaks[:-1] + breaks[1:])
 
 
-@lru_cache(maxsize=4096)
-def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
-    """The symbol as piecewise exp-linear arcs, or None when it is not one.
+def _multiply(parts) -> ExpPieces:
+    """Pointwise product of terms: common arcs, c multiplied, lam added."""
+    breaks, mid = _common_arcs(*(p.breaks for p in parts))
+    c = np.ones(len(mid), dtype=complex)
+    lam = np.zeros(len(mid), dtype=complex)
+    for p in parts:
+        pc, plam = _pieces_at(p, mid)
+        c, lam = c * pc, lam + plam
+    return _pieces(breaks, c, lam)
 
-    ``Sum``, ``Exp`` and ``PiecewiseLinear`` nodes (and every node above
-    them) have no such form.  An inverse raises DivisionBySmallModulus where
-    ``evaluate`` would: |c * exp(i lam theta)| is monotone on each arc, so
-    its minimum is at an arc end.
+
+def _reflected(p: ExpPieces) -> ExpPieces:
+    """The term at 2*pi - theta: c exp(i lam (2 pi - theta)) on the reflected arc."""
+    phase = np.exp(TWO_PI * 1j * p.lam)
+    phase[p.lam == np.round(p.lam.real)] = 1.0  # exactly, for integer lam
+    return _pieces(TWO_PI - p.breaks[::-1], (p.c * phase)[::-1], -p.lam[::-1])
+
+
+def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
+    """The symbol as one piecewise exp-linear term, or None."""
+    terms = _exp_terms(sym)
+    return terms[0] if terms is not None and len(terms) == 1 else None
+
+
+@lru_cache(maxsize=4096)
+def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
+    """The symbol as a sum of piecewise exp-linear terms, or None.
+
+    Sums concatenate their terms and products distribute over them.  An
+    inverse or a half-circle extension needs a child of exactly one term,
+    and ``Exp`` and ``PiecewiseLinear`` nodes have no such form.  An inverse
+    raises DivisionBySmallModulus where ``evaluate`` would: |c * exp(i lam
+    theta)| is monotone on each arc, so its minimum is at an arc end.
     """
     if isinstance(sym, Const):
-        return _pieces([0.0, TWO_PI], [sym.value], [0.0])
+        return (_pieces([0.0, TWO_PI], [sym.value], [0.0]),)
     if isinstance(sym, Monomial):
-        return _pieces([0.0, TWO_PI], [1.0], [sym.n])
+        return (_pieces([0.0, TWO_PI], [1.0], [sym.n]),)
     if isinstance(sym, PowerArc):
         beta, alpha = sym.beta, sym.anchor.angle
         tail = cmath.exp(-1j * beta * (math.pi + alpha))  # theta in (alpha, 2*pi)
         if alpha == 0.0:
-            return _pieces([0.0, TWO_PI], [tail], [beta])
+            return (_pieces([0.0, TWO_PI], [tail], [beta]),)
         head = cmath.exp(1j * beta * (math.pi - alpha))  # theta in (0, alpha)
-        return _pieces([0.0, alpha, TWO_PI], [head, tail], [beta, beta])
+        return (_pieces([0.0, alpha, TWO_PI], [head, tail], [beta, beta]),)
     if isinstance(sym, PiecewiseConst):
         angles = [b.angle for b in sym.breaks]
         values = list(sym.values)
         if angles[0] > 0.0:  # the last arc wraps through angle 0
             angles.insert(0, 0.0)
             values.insert(0, values[-1])
-        return _pieces(angles + [TWO_PI], values, np.zeros(len(values)))
-    if isinstance(sym, Product):
-        parts = [_exp_pieces(f) for f in sym.factors]
+        return (_pieces(angles + [TWO_PI], values, np.zeros(len(values))),)
+    if isinstance(sym, (Sum, Product)):
+        parts = [_exp_terms(x) for x in (sym.terms if isinstance(sym, Sum) else sym.factors)]
         if any(p is None for p in parts):
             return None
-        breaks, mid = _common_arcs(*(p.breaks for p in parts))
-        c = np.ones(len(mid), dtype=complex)
-        lam = np.zeros(len(mid), dtype=complex)
-        for p in parts:
-            pc, plam = _pieces_at(p, mid)
-            c, lam = c * pc, lam + plam
-        return _pieces(breaks, c, lam)
+        if isinstance(sym, Sum):
+            return tuple(itertools.chain.from_iterable(parts))
+        return tuple(_multiply(combo) for combo in itertools.product(*parts))
     if isinstance(sym, Inverse):
         p = _exp_pieces(sym.child)
         if p is None:
@@ -930,17 +891,14 @@ def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
         if np.min(modulus) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus(
                 f"modulus {np.min(modulus):.3e} below tolerance {INVERTIBILITY_TOL:.1e}")
-        return _pieces(p.breaks, 1.0 / p.c, -p.lam)
+        return (_pieces(p.breaks, 1.0 / p.c, -p.lam),)
     if isinstance(sym, Tilde):
-        p = _exp_pieces(sym.child)
-        if p is None:
-            return None
-        # c exp(i lam (2 pi - theta)) on the reflected arc
-        return _pieces(TWO_PI - p.breaks[::-1], (p.c * np.exp(TWO_PI * 1j * p.lam))[::-1],
-                       -p.lam[::-1])
+        terms = _exp_terms(sym.child)
+        return None if terms is None else tuple(_reflected(p) for p in terms)
     if isinstance(sym, Conjugate):
-        p = _exp_pieces(sym.child)
-        return None if p is None else _pieces(p.breaks, p.c.conj(), -p.lam.conj())
+        terms = _exp_terms(sym.child)
+        return None if terms is None else tuple(
+            _pieces(p.breaks, p.c.conj(), -p.lam.conj()) for p in terms)
     if isinstance(sym, HalfCircleExtension):
         upper = _exp_pieces(sym.g0)
         if upper is None:
@@ -949,15 +907,28 @@ def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
         breaks, mid = _common_arcs(upper.breaks, lower.breaks, [math.pi])
         (uc, ulam), (lc, llam) = _pieces_at(upper, mid), _pieces_at(lower, mid)
         top = mid < math.pi
-        return _pieces(breaks, np.where(top, uc, lc), np.where(top, ulam, llam))
+        return (_pieces(breaks, np.where(top, uc, lc), np.where(top, ulam, llam)),)
     return None
 
 
+def _laurent_degree(pieces: ExpPieces) -> Optional[int]:
+    """k when the term is c * t^k: one whole-circle arc of integer frequency."""
+    lam = pieces.lam[0]
+    return int(lam.real) if len(pieces.c) == 1 and lam == round(lam.real) else None
+
+
 def _piece_coefficients(pieces: ExpPieces, ns: np.ndarray) -> np.ndarray:
-    """(1/2pi) sum_j c_j * integral over arc j of exp(i (lam_j - n) theta), for each n."""
+    """(1/2pi) sum_j c_j * integral over arc j of exp(i (lam_j - n) theta), for each n.
+
+    A term c * t^k integrates to exactly c at n = k and to exactly 0 elsewhere.
+    """
+    ns = np.asarray(ns, dtype=float)
+    k = _laurent_degree(pieces)
+    if k is not None:
+        return np.where(ns == k, pieces.c[0], 0.0 + 0.0j)
     a0 = pieces.breaks[:-1, None]
     length = np.diff(pieces.breaks)[:, None]
-    mu = pieces.lam[:, None] - np.asarray(ns, dtype=float)[None, :]
+    mu = pieces.lam[:, None] - ns[None, :]
     z = 1j * mu * length
     # (e^z - 1)/z, by its Taylor series near z = 0
     small = np.abs(z) < 1e-4
@@ -965,6 +936,15 @@ def _piece_coefficients(pieces: ExpPieces, ns: np.ndarray) -> np.ndarray:
     ratio = np.where(small, 1.0 + z / 2 * (1.0 + z / 3 * (1.0 + z / 4)), np.expm1(safe) / safe)
     terms = pieces.c[:, None] * np.exp(1j * mu * a0) * length * ratio
     return terms.sum(axis=0) / TWO_PI
+
+
+def _closed_form(sym: PCSymbol, ns) -> Optional[np.ndarray]:
+    """Coefficients for the indices ns in closed form, or None when there is none."""
+    if isinstance(sym, PiecewiseLinear):
+        return np.array([_affine_coefficient(sym, int(n)) for n in ns], dtype=complex)
+    terms = _exp_terms(sym)
+    return None if terms is None else sum((_piece_coefficients(p, ns) for p in terms),
+                                          np.zeros(len(ns), dtype=complex))
 
 
 def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex, float]:
@@ -1045,12 +1025,9 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
 @lru_cache(maxsize=200_000)
 def _coefficient_cached(sym: PCSymbol, n: int, method: str, tol: float):
     if method in ("auto", "analytic"):
-        value = _analytic_coefficient(sym, n)
+        value = _closed_form(sym, [n])
         if value is not None:
-            return complex(value), "analytic", None
-        pieces = _exp_pieces(sym)
-        if pieces is not None:
-            return complex(_piece_coefficients(pieces, [n])[0]), "analytic", None
+            return complex(value[0]), "analytic", None
         if method == "analytic":
             raise PreconditionViolation("no closed-form coefficient for this symbol")
     value, bound = _quadrature_coefficient(sym, n, tol)
@@ -1073,13 +1050,13 @@ def coefficient_range(sym: PCSymbol, lo: int, hi: int, method: str = "auto",
                       tol: float = QUADRATURE_TOL) -> np.ndarray:
     """Array of coefficients for indices lo..hi inclusive.
 
-    A symbol that only the piecewise exp-linear form covers gets the whole
-    range from one vectorized closed form.
+    A symbol with a closed form gets the whole range from one vectorized
+    expression per term; the others take per-index quadrature.
     """
-    if method != "quadrature" and _analytic_coefficient(sym, lo) is None:
-        pieces = _exp_pieces(sym)
-        if pieces is not None:
-            return _piece_coefficients(pieces, np.arange(lo, hi + 1))
+    if method != "quadrature":
+        values = _closed_form(sym, np.arange(lo, hi + 1))
+        if values is not None:
+            return values
     return np.array([fourier_coefficient(sym, n, method, tol).value for n in range(lo, hi + 1)])
 
 
@@ -1091,30 +1068,13 @@ def coefficient_range(sym: PCSymbol, lo: int, hi: int, method: str = "auto",
 def laurent_coefficients(sym: PCSymbol) -> dict[int, complex]:
     """Exact coefficient dict for a finite Laurent polynomial.
 
-    Raises NotPolynomial for symbols that are not band-limited.
+    Raises NotPolynomial unless every term of the symbol is c * t^k.  Keys
+    come in the order in which the terms first reach them.
     """
-    if isinstance(sym, Const):
-        return {0: sym.value} if sym.value != 0 else {}
-    if isinstance(sym, Monomial):
-        return {sym.n: 1.0 + 0.0j}
-    if isinstance(sym, Sum):
-        out: dict[int, complex] = {}
-        for t in sym.terms:
-            for k, v in laurent_coefficients(t).items():
-                out[k] = out.get(k, 0.0) + v
-        return {k: v for k, v in out.items() if v != 0}
-    if isinstance(sym, Product):
-        out = {0: 1.0 + 0.0j}
-        for f in sym.factors:
-            cur = laurent_coefficients(f)
-            nxt: dict[int, complex] = {}
-            for k1, v1 in out.items():
-                for k2, v2 in cur.items():
-                    nxt[k1 + k2] = nxt.get(k1 + k2, 0.0) + v1 * v2
-            out = nxt
-        return {k: v for k, v in out.items() if v != 0}
-    if isinstance(sym, Tilde):
-        return {-k: v for k, v in laurent_coefficients(sym.child).items()}
-    if isinstance(sym, Conjugate):
-        return {-k: v.conjugate() for k, v in laurent_coefficients(sym.child).items()}
-    raise NotPolynomial(f"{type(sym).__name__} node is not band-limited")
+    terms = _exp_terms(sym)
+    degrees = None if terms is None else [_laurent_degree(p) for p in terms]
+    if degrees is None or None in degrees:
+        raise NotPolynomial(f"{type(sym).__name__} symbol is not band-limited")
+    lo = min(degrees)
+    values = _closed_form(sym, np.arange(lo, max(degrees) + 1))
+    return {k: complex(values[k - lo]) for k in dict.fromkeys(degrees) if values[k - lo] != 0}

@@ -239,6 +239,13 @@ def _with_tolerances(cfg, **tolerances):
     return changed
 
 
+@pytest.mark.parametrize("override", [("--p", "abc"), ("--p", "0.5"), ("--n", "0"), ("--n", "4")],
+                         ids=["p-abc", "p-0.5", "n-0", "n-4"])
+def test_analyze_overrides_are_validated_like_the_config(tmp_path, override):
+    # the same checks as p_values and finite_section_n: a config error, no report
+    assert _analyze(tmp_path, QUARTER_CONFIG, "bad", *override) == (2, None)
+
+
 @pytest.mark.parametrize("name, cfg", [("analyze_quarter", QUARTER_CONFIG),
                                        ("analyze_half_plane", HALF_PLANE_CONFIG)])
 def test_analyze_report_matches_golden_file(tmp_path, name, cfg):

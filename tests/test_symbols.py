@@ -284,6 +284,18 @@ def test_piecewise_linear_coefficients():
         assert abs(an - qn) < 1e-10
 
 
+def test_piecewise_linear_values_and_one_sided_limits():
+    from th_invert.symbols import PiecewiseLinear
+
+    pl = PiecewiseLinear((1.0, 4.0), (1.0, 2.0j), (3.0, -1.0))  # the last arc wraps
+    assert evaluate(pl, CirclePoint(4.0 + 5e-13), LEFT) == 3.0  # snapped onto the break
+    assert evaluate(pl, CirclePoint(4.0), RIGHT) == 2.0j
+    assert evaluate(pl, CirclePoint(1.0), LEFT) == -1.0
+    thetas = np.random.default_rng(4).uniform(0.0, TWO_PI, 200)
+    scalar = [evaluate(pl, CirclePoint(theta), RIGHT) for theta in thetas]
+    assert np.array_equal(sy.evaluate_array(pl, thetas), scalar)
+
+
 @st.composite
 def exp_linear_leaves(draw, allow_extension=True):
     moduli = st.floats(0.5, 2.0)
@@ -359,7 +371,9 @@ def test_exp_pieces_near_resonance():
     sym = sy.Product((PowerArc(0.3 + 1e-9, CirclePoint(1.0)), PowerArc(0.7, CirclePoint(4.0))))
     closed = fourier_coefficient(sym, 1)
     assert closed.provenance == "analytic"
-    assert sy._analytic_coefficient(sym, 1) is None  # served by the piece path
+    pieces = sy._exp_pieces(sym)  # served by the series branch of the piece path
+    assert np.min(np.abs((pieces.lam - 1) * np.diff(pieces.breaks))) < 1e-4
+    assert closed.value == sy._piece_coefficients(pieces, [1])[0]
     quad = fourier_coefficient(sym, 1, method="quadrature")
     assert abs(closed.value - quad.value) < 1e-12
 
@@ -386,12 +400,98 @@ def test_inverse_of_sum_keeps_quadrature():
 
 
 def test_coefficient_range_matches_single_coefficients():
-    sym = sy.product(PowerArc(0.3 + 0.1j, CirclePoint(1.0)),
-                     sy.HalfCircleExtension(PowerArc(0.25, CirclePoint(2.0))))
-    assert sy._analytic_coefficient(sym, 0) is None and sy._exp_pieces(sym) is not None
+    arcs = sy.product(PowerArc(0.3 + 0.1j, CirclePoint(1.0)),
+                      sy.HalfCircleExtension(PowerArc(0.25, CirclePoint(2.0))))
+    poly = sy.add(Const(2.0) * Monomial(-3), Const(1j) * Monomial(2), Const(0.5))
     lo, hi = -40, 70
-    single = np.array([fourier_coefficient(sym, n).value for n in range(lo, hi + 1)])
-    assert np.max(np.abs(sy.coefficient_range(sym, lo, hi) - single)) <= 1e-15
+    for sym in (arcs, poly, sy.add(arcs, poly), sy.product(arcs, poly)):
+        assert sy._exp_terms(sym) is not None
+        single = np.array([fourier_coefficient(sym, n).value for n in range(lo, hi + 1)])
+        assert np.max(np.abs(sy.coefficient_range(sym, lo, hi) - single)) <= 1e-15
+
+
+@st.composite
+def exp_linear_sums(draw):
+    """Sums of exp-linear products, some terms with two non-constant factors,
+    possibly times a leaf (which distributes over the sum) and reflected or
+    conjugated."""
+    sym = sy.Sum(tuple(draw(st.lists(exp_linear_symbols(), min_size=2, max_size=3))))
+    if draw(st.booleans()):
+        sym = sy.Product((sym, draw(exp_linear_leaves())))
+    wraps = [sy.Tilde, sy.Conjugate, sy.tilde, sy.conjugate]
+    for wrap in draw(st.lists(st.sampled_from(wraps), max_size=1)):
+        sym = wrap(sym)
+    return sym
+
+
+@given(exp_linear_sums())
+@settings(max_examples=20, deadline=None)
+def test_sums_of_exp_linear_terms_match_quadrature(sym):
+    for n in (0, 7, -7, 60, -60):
+        closed = fourier_coefficient(sym, n)
+        quad = fourier_coefficient(sym, n, method="quadrature").value
+        assert closed.provenance == "analytic"
+        assert abs(closed.value - quad) < 1e-11
+
+
+@st.composite
+def laurent_polynomials(draw, depth=2):
+    choice = draw(st.integers(0, 3 if depth > 0 else 1))
+    if choice == 0:
+        c = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) / 4
+        return sy.product(Const(c), Monomial(draw(st.integers(-4, 4))))
+    if choice == 1:
+        return sy.Tilde(draw(laurent_polynomials(depth - 1))) if depth > 0 else Monomial(
+            draw(st.integers(-4, 4)))
+    pair = (draw(laurent_polynomials(depth - 1)), draw(laurent_polynomials(depth - 1)))
+    return sy.Sum(pair) if choice == 2 else sy.Product(pair)
+
+
+def _convolved_coefficients(sym):
+    """Coefficients of a Laurent polynomial tree by direct convolution."""
+    if isinstance(sym, Const):
+        return {0: sym.value}
+    if isinstance(sym, Monomial):
+        return {sym.n: 1.0}
+    if isinstance(sym, (sy.Tilde, sy.Conjugate)):
+        conj = isinstance(sym, sy.Conjugate)
+        return {-k: v.conjugate() if conj else v
+                for k, v in _convolved_coefficients(sym.child).items()}
+    out = {}
+    if isinstance(sym, sy.Sum):
+        for term in sym.terms:
+            for k, v in _convolved_coefficients(term).items():
+                out[k] = out.get(k, 0) + v
+        return out
+    out = {0: 1.0}
+    for factor in sym.factors:
+        nxt = {}
+        for k1, v1 in out.items():
+            for k2, v2 in _convolved_coefficients(factor).items():
+                nxt[k1 + k2] = nxt.get(k1 + k2, 0) + v1 * v2
+        out = nxt
+    return out
+
+
+@given(laurent_polynomials(), st.sampled_from([lambda s: s, sy.Conjugate, sy.tilde]))
+@settings(max_examples=60, deadline=None)
+def test_laurent_coefficients_match_coefficient_range(poly, wrap):
+    sym = wrap(poly)
+    coeffs = sy.laurent_coefficients(sym)
+    # quarter-integer coefficients: every sum and product is exact in floating point
+    assert coeffs == {k: v for k, v in _convolved_coefficients(sym).items() if v != 0}
+    lo, hi = -20, 20
+    values = sy.coefficient_range(sym, lo, hi)
+    for n in range(lo, hi + 1):
+        assert values[n - lo] == coeffs.get(n, 0.0)  # exact, zeros included
+    assert set(coeffs) <= set(range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("sym", [PowerArc(0.25), PiecewiseConst((0.0, math.pi), (1.0, -1.0)),
+                                 sy.inverse(sy.add(Const(3.0), Monomial(1)))])
+def test_laurent_coefficients_reject_non_polynomials(sym):
+    with pytest.raises(sy.NotPolynomial):
+        sy.laurent_coefficients(sym)
 
 
 def test_laurent_coefficients_roundtrip():
