@@ -12,10 +12,11 @@ kappa1 = ind T(d), kappa2 = ind T(c) of a matching pair:
 
 When T(c) or T(d) fails to be Fredholm at p while one of the operators
 still is, the exponent is probed from above: the indices of T(c) and T(d)
-are constant on a critical-point-free interval (p, p*), the rules above
-apply there, and kernel data transfers back to p along the dense embedding
-H^s into H^p because the index does not change.  Each fact the rules read
-about one (pair, p) is computed once, by an :class:`Analysis`.
+are constant on the interval (p, p*) up to the nearest critical exponent
+p*, which comes in closed form from the jumps of the symbol.  The rules
+above apply there, and kernel data transfers back to p along the dense
+embedding H^s into H^p because the index does not change.  Each fact the
+rules read about one (pair, p) is computed once, by an :class:`Analysis`.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .calculus import (
     HardyExponent,
     IndexResult,
     _as_exponent,
+    critical_exponents,
     matrix_toeplitz_index,
     th_fredholm_check,
     th_index,
     toeplitz_index,
 )
 from .config import Tolerances
-from .defaults import WINDING_MIN_MODULUS
+from .defaults import CRITICAL_RTOL, WINDING_MIN_MODULUS
 from .errors import (
     InconsistentRecord,
     NoFredholmNeighborhood,
@@ -465,65 +467,28 @@ class ProbeResult:
     critical_exponent: Optional[float]
 
 
-def probe_limit_index(symbol: PCSymbol, p, scan_points: int = 64,
-                      refine_tol: float = 1e-6,
+def probe_limit_index(symbol: PCSymbol, p,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> ProbeResult:
     """lim_{s -> p+} ind T(symbol) on H^s.
 
-    Scans a log-spaced grid in (p, p+1], locates the nearest critical
-    exponent p* by bisection and evaluates the (locally constant) index at
-    the midpoint of (p, p*); with no critical point the index at p+1 is
-    returned.
+    The index is constant between consecutive critical exponents, which
+    :func:`critical_exponents` gives in closed form.  p* is the smallest one
+    in (p, p+1] and the index is read once, at the midpoint of (p, p*), or at
+    p+1 when there is none.  An exponent within relative 1e-9 of p counts as
+    p itself, and one within relative 1e-9 above p+1 as inside the window.
+    NoFredholmNeighborhood when T(symbol) is not Fredholm there, as when the
+    symbol vanishes on a continuous stretch.
     """
     pe = _as_exponent(p)
-
-    def index_at(s: float) -> Optional[int]:
-        res = toeplitz_index(symbol, HardyExponent(s), n_t=512,
-                             min_modulus_tol=min_modulus_tol)
-        return res.index if res.fredholm else None
-
-    offsets = np.geomspace(1e-6, 1.0, scan_points)
-    values = [index_at(pe.p + off) for off in offsets]
-    defined = [(i, v) for i, v in enumerate(values) if v is not None]
-    if not defined:
+    p_star = next((s for s in critical_exponents(symbol)
+                   if pe.p * (1 + CRITICAL_RTOL) < s <= (pe.p + 1) * (1 + CRITICAL_RTOL)), None)
+    s_used = pe.p + 1.0 if p_star is None else 0.5 * (pe.p + p_star)
+    res = toeplitz_index(symbol, s_used, n_t=512, min_modulus_tol=min_modulus_tol)
+    if not res.fredholm:
         raise NoFredholmNeighborhood(
-            f"no Fredholm exponent found in ({pe.p}, {pe.p + 1}] on the scan grid")
-    i0, base = defined[0]
-
-    change = None
-    for i in range(i0 + 1, len(values)):
-        if values[i] != base:
-            change = i
-            break
-    if change is None:
-        if i0 != 0:
-            # critical behaviour below the first defined sample: bisect toward p
-            lo, hi = pe.p, pe.p + offsets[i0]
-            while hi - lo > refine_tol:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if index_at(mid) != base else (lo, mid)
-            p_star = 0.5 * (lo + hi)
-            # the limit index lives on (p, p*); but nothing is defined there
-            raise NoFredholmNeighborhood(
-                f"index undefined between p and the first critical exponent {p_star:.6f}")
-        s_used = pe.p + 1.0
-        return ProbeResult(base, s_used, None)
-
-    lo = pe.p + offsets[change - 1]
-    hi = pe.p + offsets[change]
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        if index_at(mid) == base:
-            lo = mid
-        else:
-            hi = mid
-    p_star = 0.5 * (lo + hi)
-    s_used = 0.5 * (pe.p + p_star)
-    confirm = index_at(s_used)
-    if confirm != base:
-        raise NoFredholmNeighborhood(
-            f"index at the probe midpoint {s_used:.6f} disagrees with the scan")
-    return ProbeResult(base, s_used, p_star)
+            f"T(symbol) is not Fredholm at s = {s_used:.6g}, between p = {pe.p:g} "
+            "and its next critical exponent")
+    return ProbeResult(res.index, s_used, p_star)
 
 
 def classify_with_probing(pair: MatchingPair, p, n_section: int = 256,
@@ -548,10 +513,9 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256,
 
     probe_c, probe_d = an.probe(pair.c), an.probe(pair.d)
     lim_k2, lim_k1 = probe_c.limit_index, probe_d.limit_index
-    crit = [x for x in (probe_c.critical_exponent, probe_d.critical_exponent)
-            if x is not None]
-    p_star = min(crit) if crit else None
-    s_fb = 0.5 * (pe.p + p_star) if p_star is not None else pe.p + 1.0
+    # the probe read nearer to p has the nearer critical exponent, if any
+    nearer = min(probe_c, probe_d, key=lambda res: res.s_used)
+    p_star, s_fb = nearer.critical_exponent, nearer.s_used
 
     evidence = [
         f"probing (s -> p+): lim ind T(d) = {lim_k1}, lim ind T(c) = {lim_k2}"

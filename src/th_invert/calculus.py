@@ -20,6 +20,7 @@ the arc-interpolated matrix.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -345,6 +346,22 @@ def toeplitz_index(a: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
     """Fredholmness and index of T(a) on H^p: index = -winding of the curve."""
     return _curve_index(lambda nt, my: toeplitz_symbol_curve(a, p, nt, my),
                         n_t, m_y, min_modulus_tol)
+
+
+def critical_exponents(a: PCSymbol) -> list[float]:
+    """The exponents s at which a jump of a puts the origin on the curve of T(a).
+
+    The arc from u = a(t-0) to w = a(t+0) on H^s passes through the origin
+    exactly when arg(w/u)/2pi + 1/s is an integer (Gohberg-Krupnik): with
+    x = -arg(w/u)/2pi mod 1, at s = 1/x, and at no s when x = 0.  One entry
+    per jump, sorted; a jump to or from 0 degenerates at every s and has none.
+    """
+    out = []
+    for _, u, w in jump_set(a):
+        x = (-cmath.phase(w / u) / TWO_PI) % 1.0 if u and w else 0.0
+        if 0.0 < x < 1.0:
+            out.append(1.0 / x)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

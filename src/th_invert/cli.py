@@ -114,9 +114,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = _load_config(args.config)
-    if not args.p:
-        raise ConfigError("curve requires --p")
-    p = _exponents(args.p)[0]
+    exponents = _exponents(args.p) if args.p else []
+    if len(exponents) != 1:
+        raise ConfigError(f"curve takes exactly one exponent in --p, got {args.p!r}")
+    p = exponents[0]
     symbol = _resolve_symbol(cfg, args.symbol)
     curve = toeplitz_symbol_curve(symbol, p)
     lines = ["segment,param,re,im"]
@@ -278,29 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "operators with piecewise continuous generating functions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to the JSON analysis config")
-        p.add_argument("--p", help="comma-separated exponents, overrides the config")
-        p.add_argument("--out", help="output path (default: config outputs or stdout)")
-        p.add_argument("--n", type=int, help="finite section size override")
+    options = {
+        "--config": dict(help="path to the JSON analysis config"),
+        "--p": dict(help="comma-separated exponents, overrides the config"),
+        "--n": dict(type=int, help="finite section size override"),
+        "--out": dict(help="output path (default: config outputs or stdout)"),
+    }
 
-    pa = sub.add_parser("analyze", help="classify T(a)+H(b) and T(a)-H(b) per exponent")
-    common(pa)
-    pa.set_defaults(fn=cmd_analyze)
+    def add(name, fn, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        for opt in names:
+            p.add_argument(opt, **options[opt])
+        p.set_defaults(fn=fn)
+        return p
 
-    pc = sub.add_parser("curve", help="export an arc-completed symbol curve as CSV")
-    common(pc)
+    add("analyze", cmd_analyze, "classify T(a)+H(b) and T(a)-H(b) per exponent",
+        "--config", "--p", "--n", "--out")
+    pc = add("curve", cmd_curve, "export an arc-completed symbol curve as CSV",
+             "--config", "--p", "--out")
     pc.add_argument("--symbol", default="a", help="config symbol name, or c/d of the pair")
-    pc.set_defaults(fn=cmd_curve)
-
-    pv = sub.add_parser("verify", help="run the operator-identity and weight suites")
-    common(pv)
+    pv = add("verify", cmd_verify, "run the operator-identity and weight suites", "--out")
     pv.add_argument("--seed", type=int, default=0)
-    pv.set_defaults(fn=cmd_verify)
-
-    ps = sub.add_parser("selftest", help="run the worked-example regressions")
-    common(ps)
-    ps.set_defaults(fn=cmd_selftest)
+    add("selftest", cmd_selftest, "run the worked-example regressions", "--out")
     return parser
 
 

@@ -4,6 +4,7 @@ INVERTIBILITY_TOL = 1e-9     # minimum modulus on the grid for 1/a to be accepte
 MATCHING_TOL = 1e-9          # max grid deviation of a*~a - b*~b
 JUMP_TOL = 1e-9              # |left - right| above which a point counts as a jump
 WINDING_MIN_MODULUS = 1e-7   # curves closer to 0 than this are "through the origin"
+CRITICAL_RTOL = 1e-9         # relative distance at which a critical exponent counts as p
 WINDING_RESIDUAL = 1e-2      # |winding - round(winding)| must stay below this
 SV_THRESHOLD = 1e-8          # singular values below this count toward the kernel
 SPECTRAL_GAP = 100.0         # required ratio smallest-kept / largest-dropped

@@ -54,7 +54,7 @@ class NotFredholmAtP(NotFredholm):
 
 
 class NoFredholmNeighborhood(THInvertError):
-    """No exponent in the probing window gives a Fredholm operator."""
+    """T(a) is not Fredholm between p and its next critical exponent above p."""
 
 
 class SeriesDiverges(THInvertError):

@@ -841,6 +841,15 @@ def _reflected(p: ExpPieces) -> ExpPieces:
     return _pieces(TWO_PI - p.breaks[::-1], (p.c * phase)[::-1], -p.lam[::-1])
 
 
+def _merged(terms) -> tuple[ExpPieces, ...]:
+    """Terms with equal breaks and lam added up, in order of first appearance."""
+    out = {}
+    for p in terms:
+        key = (p.breaks.tobytes(), p.lam.tobytes())
+        out[key] = p._replace(c=out[key].c + p.c) if key in out else p
+    return tuple(out.values())
+
+
 def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
     """The symbol as one piecewise exp-linear term, or None."""
     terms = _exp_terms(sym)
@@ -851,7 +860,8 @@ def _exp_pieces(sym: PCSymbol) -> Optional[ExpPieces]:
 def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
     """The symbol as a sum of piecewise exp-linear terms, or None.
 
-    Sums concatenate their terms and products distribute over them.  An
+    Sums concatenate their terms and products distribute over them, one
+    factor at a time, with like terms merged after each step.  An
     inverse or a half-circle extension needs a child of exactly one term,
     and ``Exp`` and ``PiecewiseLinear`` nodes have no such form.  An inverse
     raises DivisionBySmallModulus where ``evaluate`` would: |c * exp(i lam
@@ -880,8 +890,11 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
         if any(p is None for p in parts):
             return None
         if isinstance(sym, Sum):
-            return tuple(itertools.chain.from_iterable(parts))
-        return tuple(_multiply(combo) for combo in itertools.product(*parts))
+            return _merged(itertools.chain.from_iterable(parts))
+        terms = parts[0]
+        for part in parts[1:]:
+            terms = _merged(_multiply(combo) for combo in itertools.product(terms, part))
+        return terms
     if isinstance(sym, Inverse):
         p = _exp_pieces(sym.child)
         if p is None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from th_invert import analyzer, symbols as sy
 from th_invert.analyzer import (
     MINUS_KEY,
     PLUS_KEY,
@@ -16,10 +17,10 @@ from th_invert.analyzer import (
 )
 from th_invert.calculus import toeplitz_index
 from th_invert.catalog import quarter_twist, quarter_twist_pair
-from th_invert.errors import InconsistentRecord, NotFredholmAtP
+from th_invert.errors import InconsistentRecord, NoFredholmNeighborhood, NotFredholmAtP
 from th_invert.matching import make_matching_pair
 from th_invert.sampling import random_matching_pair
-from th_invert.symbols import Const, Monomial
+from th_invert.symbols import Const, Monomial, PowerArc
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +163,49 @@ def test_probe_detects_critical_exponent(quarter_pair):
     # d has its only degeneracy at p = 2: probing from 1.8 must find it
     res = probe_limit_index(quarter_pair.d, 1.8)
     assert res.limit_index == -1
-    assert res.critical_exponent == pytest.approx(2.0, abs=1e-4)
+    assert res.critical_exponent == pytest.approx(2.0, abs=1e-12)
     assert 1.8 < res.s_used < 2.0
+
+
+def test_probe_reads_the_critical_exponent_in_closed_form():
+    # the jump of t^(1/4) degenerates at s = 4 only
+    res = probe_limit_index(PowerArc(0.25), 3.0)
+    assert res.critical_exponent == pytest.approx(4.0, abs=1e-12)
+    assert res.s_used == pytest.approx(3.5, abs=1e-12)
+    assert res.limit_index == 0
+    res = probe_limit_index(PowerArc(0.25), 4.0)
+    assert res.critical_exponent is None
+    assert res.s_used == pytest.approx(5.0, abs=1e-12)
+    assert res.limit_index == -1
+
+
+def test_probe_rounds_critical_exponents_at_the_window_ends():
+    # within relative 1e-9 of p: p itself, so not the nearest exponent above p
+    res = probe_limit_index(PowerArc(0.25), 4.0 * (1 - 5e-10))
+    assert res.critical_exponent is None and res.limit_index == -1
+    # within relative 1e-9 above p + 1: inside the window (p, p + 1]
+    res = probe_limit_index(PowerArc(0.25 * (1 - 5e-10)), 3.0)
+    assert res.critical_exponent == pytest.approx(4.0, rel=1e-9)
+    assert res.limit_index == 0
+
+
+def test_probe_makes_one_index_call(monkeypatch, quarter_pair):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return toeplitz_index(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "toeplitz_index", counted)
+    for p in (1.8, 2.0):
+        probe_limit_index(quarter_pair.d, p)
+    assert len(calls) == 2
+
+
+def test_probe_refuses_a_symbol_with_a_continuous_zero():
+    # 1 + t vanishes at t = -1 for every exponent
+    with pytest.raises(NoFredholmNeighborhood):
+        probe_limit_index(sy.add(Const(1.0), Monomial(1)), 1.5)
 
 
 def test_classify_with_probing_quarter_at_two(quarter_pair):

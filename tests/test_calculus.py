@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.calculus import (
     HardyExponent,
     arc,
+    critical_exponents,
     matrix_toeplitz_index,
     split_generating_pair,
     th_fredholm_check,
@@ -194,6 +196,61 @@ def test_half_plane_sign_indices(half_plane_pair):
     assert toeplitz_index(a, 1.5).index == 1
     assert toeplitz_index(a, 3.0).index == -1
     assert not toeplitz_index(a, 2.0).fredholm
+
+
+def test_critical_exponents_of_the_catalog(quarter_pair, half_plane_pair):
+    assert critical_exponents(PowerArc(0.25)) == [4.0]
+    assert critical_exponents(quarter_pair.d) == [2.0]
+    assert critical_exponents(quarter_pair.c) == []
+    assert critical_exponents(half_plane_pair.b) == [2.0, 2.0]
+    assert critical_exponents(PiecewiseConst((0.0, math.pi), (1.0, 0.0))) == []
+
+
+_GRID = [TWO_PI * k / 24 for k in range(24)]
+
+
+@st.composite
+def jump_symbols(draw):
+    """Nonvanishing products of a monomial, power arcs with real beta at
+    random anchors, a piecewise constant and a half-circle extension."""
+    betas = st.floats(-0.95, 0.95)
+    factors = [Monomial(draw(st.integers(-2, 2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append(PowerArc(draw(betas), CirclePoint(draw(st.sampled_from(_GRID)))))
+    if draw(st.booleans()):
+        breaks = sorted(draw(st.sets(st.sampled_from(_GRID), min_size=1, max_size=3)))
+        values = [cmath.rect(draw(st.floats(0.5, 2.0)), draw(st.floats(-3.0, 3.0)))
+                  for _ in breaks]
+        factors.append(PiecewiseConst(tuple(breaks), tuple(values)))
+    if draw(st.booleans()):
+        anchor = CirclePoint(draw(st.sampled_from(_GRID[1:12])))
+        factors.append(sy.HalfCircleExtension(PowerArc(draw(betas), anchor)))
+    return sy.Product(tuple(factors))
+
+
+@given(jump_symbols())
+@settings(max_examples=60, deadline=None)
+def test_critical_exponents_match_the_winding(sym):
+    crit = critical_exponents(sym)
+    lo, hi = 1.25, 6.0
+    distinct = []
+    for s in crit:
+        if lo < s < hi and not (distinct and s <= distinct[-1] * (1 + 1e-9)):
+            distinct.append(s)
+    edges = [lo, *distinct, hi]
+    # clusters closer than the probes below are left to other draws
+    assume(all(b > a * (1 + 1e-2) for a, b in zip(edges, edges[1:])))
+
+    def index(s):
+        res = toeplitz_index(sym, s)
+        assert res.fredholm, s
+        return res.index
+
+    for a, b in zip(edges, edges[1:]):  # constant between critical exponents
+        assert index(a + (b - a) / 3) == index(a + 2 * (b - a) / 3)
+    for s in distinct:  # one step down per jump that degenerates at s
+        shared = sum(1 for x in crit if abs(x - s) <= 1e-9 * s)
+        assert index(s * (1 - 1e-3)) - index(s * (1 + 1e-3)) == shared
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,24 @@ def test_curve_rejects_non_matching_pair_as_config_error(tmp_path, name):
     assert not out.exists()
 
 
+def test_curve_rejects_several_exponents(config_path, tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--config", config_path, "--p", "1.5,2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--p", "abc", "--n", "4", "--config", "missing.json"],
+    ["verify", "--config", "missing.json"],
+    ["curve", "--p", "1.5,2", "--n", "4"],
+])
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _analyze(tmp_path, cfg, name, *extra):
     """Exit code and report text (None on failure) of analyze on cfg."""
     path = tmp_path / f"{name}.json"

@@ -487,6 +487,20 @@ def test_laurent_coefficients_match_coefficient_range(poly, wrap):
     assert set(coeffs) <= set(range(lo, hi + 1))
 
 
+def test_products_of_sums_merge_like_terms():
+    rng = np.random.default_rng(0)
+    polys = [sy.Sum(tuple(Const(complex(*rng.normal(size=2))) * Monomial(int(k))
+                          for k in range(-3 + i % 2, 3 + i % 2))) for i in range(4)]
+    product = sy.Product(tuple(polys))
+    terms = sy._exp_terms(product)
+    degrees = [sy._laurent_degree(p) for p in terms]
+    assert len(terms) == len(set(degrees)) == 21
+    assert list(sy.laurent_coefficients(product)) == degrees
+    # a sum merges its like terms too, keeping the first position of each
+    twice = sy._exp_terms(sy.Sum((Monomial(2), Monomial(-1), Monomial(2))))
+    assert [(sy._laurent_degree(p), complex(p.c[0])) for p in twice] == [(2, 2), (-1, 1)]
+
+
 @pytest.mark.parametrize("sym", [PowerArc(0.25), PiecewiseConst((0.0, math.pi), (1.0, -1.0)),
                                  sy.inverse(sy.add(Const(3.0), Monomial(1)))])
 def test_laurent_coefficients_reject_non_polynomials(sym):
