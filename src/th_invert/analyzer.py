@@ -465,6 +465,7 @@ class ProbeResult:
     limit_index: int
     s_used: float
     critical_exponent: Optional[float]
+    read: IndexResult  # the index of T(symbol) at s_used
 
 
 def probe_limit_index(symbol: PCSymbol, p,
@@ -488,7 +489,7 @@ def probe_limit_index(symbol: PCSymbol, p,
         raise NoFredholmNeighborhood(
             f"T(symbol) is not Fredholm at s = {s_used:.6g}, between p = {pe.p:g} "
             "and its next critical exponent")
-    return ProbeResult(res.index, s_used, p_star)
+    return ProbeResult(res.index, s_used, p_star, res)
 
 
 def classify_with_probing(pair: MatchingPair, p, n_section: int = 256,
@@ -531,8 +532,11 @@ def classify_with_probing(pair: MatchingPair, p, n_section: int = 256,
     def branch() -> FredholmReport:
         nonlocal branch_report
         if branch_report is None:
-            branch_report = classify(pair, HardyExponent(s_fb), n_section,
-                                     tolerances=an.tolerances)
+            at_s = Analysis(pair, HardyExponent(s_fb), an.tolerances, n_section)
+            for symbol, probe in ((pair.c, probe_c), (pair.d, probe_d)):
+                if probe.s_used == s_fb:  # the probe has read ind T(symbol) at s_fb
+                    at_s._facts[("toeplitz", symbol)] = (probe.read, None)
+            branch_report = _classify(at_s)
         return branch_report
 
     for sign, key in SIGNS:

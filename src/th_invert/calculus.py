@@ -45,15 +45,13 @@ from .errors import (
 from . import symbols as sy
 from .matching import MatrixSymbol, build_u_matrix_general
 from .symbols import (
-    LEFT,
-    RIGHT,
     TWO_PI,
     CirclePoint,
     Exp,
     PCSymbol,
     PiecewiseLinear,
-    evaluate,
     evaluate_array,
+    evaluate_sides,
     jump_set,
 )
 
@@ -203,20 +201,21 @@ def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
 
 
 def _assemble_closed_curve(
-    jump_angles: list[float],
+    sides: dict,
     cont_values: Callable[[np.ndarray], np.ndarray],
-    side_value: Callable[[float, str], complex],
     arc_values: Callable[[float, np.ndarray], np.ndarray],
     n_t: int,
     m_y: int,
 ) -> SymbolCurve:
     """Concatenate continuous stretches with arc insertions at each jump.
 
-    The curve starts just after the first jump (or at angle 0 when there is
-    none) and is explicitly closed by repeating its first point.  Every
-    segment is refined adaptively near the origin, so close approaches are
-    resolved regardless of the base grids.  Arcs are parametrized by
-    u = tanh(y) in [-1, 1]; ``arc_values(angle, ys)`` gets the y values.
+    ``sides`` maps each jump angle, in increasing order, to the values at
+    t-0 and t+0.  The curve starts just after the first jump (or at angle 0
+    when there is none) and is explicitly closed by repeating its first
+    point.  Every segment is refined adaptively near the origin, so close
+    approaches are resolved regardless of the base grids.  Arcs are
+    parametrized by u = tanh(y) in [-1, 1]; ``arc_values(angle, ys)`` gets
+    the y values.
     """
     us0 = np.tanh(_y_axis(m_y))
     pieces: list[np.ndarray] = []
@@ -241,6 +240,7 @@ def _assemble_closed_curve(
     def stretch_evaluator(thetas):
         return cont_values(np.mod(thetas, TWO_PI))
 
+    jump_angles = list(sides)
     if not jump_angles:
         thetas = np.concatenate([np.linspace(0.0, TWO_PI, n_t, endpoint=False), [TWO_PI]])
         vals = cont_values(np.mod(thetas, TWO_PI))
@@ -248,7 +248,7 @@ def _assemble_closed_curve(
         emit("stretch", 0.0, thetas[:-1], vals[:-1])
         start = vals[0]
     else:
-        start = side_value(jump_angles[0], RIGHT)
+        start = sides[jump_angles[0]][1]
         k = len(jump_angles)
         for j in range(k):
             a0 = jump_angles[j]
@@ -257,8 +257,7 @@ def _assemble_closed_curve(
             npts = max(8, int(round(n_t * (a1 - a0) / TWO_PI)))
             thetas = np.linspace(a0, a1, npts + 2)[1:-1]  # open interior
             inner = cont_values(np.mod(thetas, TWO_PI))
-            vals = np.concatenate([[side_value(a0, RIGHT)], inner,
-                                   [side_value(theta_next, LEFT)]])
+            vals = np.concatenate([[sides[a0][1]], inner, [sides[theta_next][0]]])
             par = np.concatenate([[a0], thetas, [a1]])
             par, vals = _adaptive_polyline(par, vals, stretch_evaluator)
             emit("stretch", a0, par, vals)
@@ -320,25 +319,15 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
     The image of a along the counterclockwise circle, with the arc from
     a(t-0) to a(t+0) inserted at every jump point t.
     """
-    jumps = jump_set(a)
-    angles = [pt.angle for pt, _, _ in jumps]
-    sides = {pt.angle: (lv, rv) for pt, lv, rv in jumps}
-
-    def cont(thetas):
-        return evaluate_array(a, thetas)
-
-    def side_val(theta, side):
-        if theta in sides:
-            lv, rv = sides[theta]
-            return lv if side == LEFT else rv
-        return evaluate(a, CirclePoint(theta), side)
+    sides = {pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)}
 
     def arc_vals(theta, ys):
         lv, rv = sides[theta]
         nus, _ = weight_functions(p, ys)
         return lv * (1.0 - nus) + rv * nus
 
-    return _assemble_closed_curve(angles, cont, side_val, arc_vals, n_t, m_y)
+    return _assemble_closed_curve(sides, lambda thetas: evaluate_array(a, thetas), arc_vals,
+                                  n_t, m_y)
 
 
 def toeplitz_index(a: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
@@ -369,40 +358,28 @@ def critical_exponents(a: PCSymbol) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def matrix_symbol_curve(u: MatrixSymbol, p, n_t: int = GRID_N,
                         m_y: int = Y_GRID_N) -> SymbolCurve:
     """Determinant curve of the arc-interpolated 2x2 matrix symbol.
 
-    Along continuous stretches the value is det U(t); at each jump the
-    matrix (1 - nu)*U(t-0) + nu*U(t+0) is interpolated entrywise and its
-    determinant traced over the y grid.
+    Along continuous stretches the value is det U(t) = a(t)/a(1/t); at each
+    jump the matrix (1 - nu)*U(t-0) + nu*U(t+0) is interpolated entrywise
+    and its determinant traced over the y grid.  The one-sided matrices are
+    computed once per jump, before the curve is assembled.
     """
-    angles = u.jump_angles()
-
-    e = u.entries
-
-    def cont(thetas):
-        e00 = evaluate_array(e[0][0], thetas)
-        e01 = evaluate_array(e[0][1], thetas)
-        e10 = evaluate_array(e[1][0], thetas)
-        e11 = evaluate_array(e[1][1], thetas)
-        return e00 * e11 - e01 * e10
-
-    def side_mat(theta, side):
-        return u.evaluate_matrix(CirclePoint(theta), side)
-
-    def side_val(theta, side):
-        m = side_mat(theta, side)
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    matrices = u.one_sided()
 
     def arc_vals(theta, ys):
         nus, _ = weight_functions(p, ys)
-        ml = side_mat(theta, LEFT)
-        mr = side_mat(theta, RIGHT)
-        interp = (1.0 - nus)[:, None, None] * ml[None, :, :] + nus[:, None, None] * mr[None, :, :]
-        return interp[:, 0, 0] * interp[:, 1, 1] - interp[:, 0, 1] * interp[:, 1, 0]
+        ml, mr = matrices[theta]
+        return _det((1.0 - nus) * ml[..., None] + nus * mr[..., None])
 
-    return _assemble_closed_curve(angles, cont, side_val, arc_vals, n_t, m_y)
+    sides = {theta: (_det(ml), _det(mr)) for theta, (ml, mr) in matrices.items()}
+    return _assemble_closed_curve(sides, u.determinant, arc_vals, n_t, m_y)
 
 
 def matrix_toeplitz_index(u: MatrixSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
@@ -415,11 +392,6 @@ def matrix_toeplitz_index(u: MatrixSymbol, p, n_t: int = GRID_N, m_y: int = Y_GR
 # ---------------------------------------------------------------------------
 # the Toeplitz-plus-Hankel symbol
 # ---------------------------------------------------------------------------
-
-
-def _one_sided(symbol: PCSymbol, angle: float) -> tuple[complex, complex]:
-    pt = CirclePoint(angle)
-    return evaluate(symbol, pt, LEFT), evaluate(symbol, pt, RIGHT)
 
 
 def th_symbol(a: PCSymbol, b: PCSymbol, p, t, y):
@@ -441,14 +413,14 @@ def th_symbol(a: PCSymbol, b: PCSymbol, p, t, y):
     if theta > math.pi:
         raise OutOfDomain("the symbol lives on the closed upper half-circle")
     nu, h = weight_functions(p, y)
-    al, ar = _one_sided(a, theta)
-    bl, br = _one_sided(b, theta)
+    al, ar = evaluate_sides(a, theta)
+    bl, br = evaluate_sides(b, theta)
     top = ar * nu + al * (1.0 - nu)
     if theta in (0.0, math.pi):
         sign = 1.0 if theta == 0.0 else -1.0
         return top + sign * (br - bl) / 2.0 * h
-    alc, arc_ = _one_sided(a, TWO_PI - theta)
-    blc, brc = _one_sided(b, TWO_PI - theta)
+    alc, arc_ = evaluate_sides(a, TWO_PI - theta)
+    blc, brc = evaluate_sides(b, TWO_PI - theta)
     return np.array(
         [
             [top, (br - bl) / 2j * h],
@@ -500,7 +472,7 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
     # then the scalar branch at the fixed points +-1 of the flip
     for th in [*special, 0.0, math.pi]:
         m = th_symbol(a, b, p, th, ys)
-        vals = np.abs(m if m.ndim == 1 else m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        vals = np.abs(m if m.ndim == 1 else _det(m))
         i = int(np.argmin(vals))
         consider(float(vals[i]), th, float(ys[i]))
 
@@ -515,8 +487,8 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
 
 def _limits_at_pm1(symbol: PCSymbol) -> tuple[complex, complex, complex, complex]:
     """(f(1+0), f(1-0), f(-1+0), f(-1-0))."""
-    l1, r1 = _one_sided(symbol, 0.0)
-    lm, rm = _one_sided(symbol, math.pi)
+    l1, r1 = evaluate_sides(symbol, 0.0)
+    lm, rm = evaluate_sides(symbol, math.pi)
     return r1, l1, rm, lm
 
 
@@ -547,16 +519,9 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
     if any(pt.angle not in (0.0, math.pi) for pt, _, _ in jump_set(g)):
         raise PreconditionViolation("g must be continuous off +-1")
 
-    def cont(thetas):
-        return evaluate_array(g, thetas)
-
-    def side_val(theta, side):
-        return evaluate(g, CirclePoint(theta), side)
-
-    def arc_vals(theta, ys):
-        return th_symbol(g, b0, p, theta, ys)
-
-    return _assemble_closed_curve([0.0, math.pi], cont, side_val, arc_vals, n_t, m_y)
+    return _assemble_closed_curve({theta: evaluate_sides(g, theta) for theta in (0.0, math.pi)},
+                                  lambda thetas: evaluate_array(g, thetas),
+                                  lambda theta, ys: th_symbol(g, b0, p, theta, ys), n_t, m_y)
 
 
 def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,

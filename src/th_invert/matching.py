@@ -3,23 +3,27 @@
 A pair (a, b) of invertible generating functions is *matching* when
 a(t) * a(1/t) = b(t) * b(1/t) on the circle.  The subordinated functions
 c = a/b and d = b / ~a then satisfy c * ~c = d * ~d = 1 exactly, and the
-2x2 matrix symbol attached to the pair becomes triangular.  The matching
-condition is checked in the non-normalized form (the common product
-a * ~a may be any invertible function, e.g. a constant i); the reports
-record its constant value when it is one.
+2x2 matrix symbol attached to the pair becomes triangular.  Each entry of
+that symbol is a rational function of a(t), b(t), ~a(t) = a(1/t) and
+~b(t) = b(1/t), so :class:`MatrixSymbol` computes it from those four
+values.  The matching condition is checked in the non-normalized form
+(the common product a * ~a may be any invertible function, e.g. a
+constant i); the reports record its constant value when it is one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .defaults import GRID_N, INVERTIBILITY_TOL, MATCHING_TOL
-from .errors import NotInvertible
+from .errors import DivisionBySmallModulus, NotInvertible
 from . import symbols as sym
-from .symbols import PCSymbol, Const, check_invertible, evaluate_both_sides, grid_angles
+from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, Const, PCSymbol, check_invertible,
+                      evaluate_array, evaluate_both_sides, grid_angles)
 
 
 @dataclass(frozen=True)
@@ -42,28 +46,79 @@ class MatchingPair:
         return make_matching_pair(sym.inverse(self.a), sym.inverse(self.b))
 
 
+def _reciprocal(v):
+    """1/v, refused below the invertibility tolerance as for an inverted symbol."""
+    smallest = np.min(np.abs(v), initial=np.inf)
+    if smallest < INVERTIBILITY_TOL:
+        raise DivisionBySmallModulus(f"modulus {smallest:.3e} below {INVERTIBILITY_TOL:.1e}")
+    return 1.0 / v
+
+
 @dataclass(frozen=True)
 class MatrixSymbol:
-    """2x2 matrix of symbols, stored row-major."""
+    """The 2x2 matrix symbol U(a, b), computed from the values of a and b.
 
-    entries: tuple  # ((e00, e01), (e10, e11))
+    With a, b, ~a, ~b the one-sided values of a(t), b(t), a(1/t), b(1/t),
+    the general matrix is [[a - b*~b/~a, -b/~a], [~b/~a, 1/~a]] and the
+    triangular one of a matching pair is [[0, -b/~a], [a/b, 1/~a]], that is
+    [[0, -d], [c, (~a)^-1]]; both have determinant a/~a.  If the entries are
+    continuous at t, so are ~a, then b, a and ~b (~b = a*~a/b for a matching
+    pair): U jumps only where a or b jumps, at t or at 1/t.
+    """
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
+    a: PCSymbol
+    b: PCSymbol
+    general: bool
+
+    def __getitem__(self, idx) -> PCSymbol:
+        """Entry (i, j) as a symbol tree: the reference for the value formulas."""
+        a, b, ta_inv, tb = self.a, self.b, sym.inverse(sym.tilde(self.a)), sym.tilde(self.b)
+        if self.general:
+            rows = ((a - b * tb * ta_inv, -(b * ta_inv)), (tb * ta_inv, ta_inv))
+        else:
+            rows = ((Const(0.0), -sym.product(b, ta_inv)), (sym.product(a, sym.inverse(b)), ta_inv))
+        return rows[idx[0]][idx[1]]
+
+    def _matrix(self, a, b, ta, tb) -> np.ndarray:
+        ta_inv = _reciprocal(ta)
+        top_left, corner = (a - b * tb * ta_inv, tb * ta_inv) if self.general else (
+            0.0, a * _reciprocal(b))
+        return np.array([[top_left, -(b * ta_inv)], [corner, ta_inv]], dtype=complex)
+
+    def _sides(self, angle: float, sides) -> tuple[np.ndarray, np.ndarray]:
+        """(U(t-0), U(t+0)) from sides(f, angle) = (f(t-0), f(t+0)); ~f(t-0) = f(1/t+0)."""
+        (al, ar), (bl, br) = sides(self.a, angle), sides(self.b, angle)
+        mirror = CirclePoint(-angle).angle
+        (tar, tal), (tbr, tbl) = sides(self.a, mirror), sides(self.b, mirror)
+        return self._matrix(al, bl, tal, tbl), self._matrix(ar, br, tar, tbr)
 
     def evaluate_matrix(self, t, side) -> np.ndarray:
-        return np.array(
-            [[sym.evaluate(self.entries[i][j], t, side) for j in range(2)] for i in range(2)],
-            dtype=complex,
-        )
+        """U(t+0) for side "right", U(t-0) for "left"."""
+        angle = t.angle if isinstance(t, CirclePoint) else CirclePoint(t).angle
+        return self._sides(angle, sym.evaluate_sides)[(LEFT, RIGHT).index(side)]
+
+    def determinant(self, thetas: np.ndarray) -> np.ndarray:
+        """det U = a/~a at angles where neither a nor ~a jumps."""
+        return evaluate_array(self.a, thetas) * _reciprocal(
+            evaluate_array(self.a, np.mod(-thetas, TWO_PI)))
 
     def jump_angles(self) -> list[float]:
-        angles: set[float] = set()
-        for row in self.entries:
-            for entry in row:
-                angles |= {pt.angle for pt, _, _ in sym.jump_set(entry)}
-        return sym.dedupe_angles(angles)
+        """The jump angles of a and b and their reflections."""
+        angles = {pt.angle for f in (self.a, self.b) for pt, _, _ in sym.jump_set(f)}
+        return sym.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles})
+
+    def one_sided(self) -> dict:
+        """{angle: (U(t-0), U(t+0))} at every jump angle, from the jump sets of
+        a and b; a function is evaluated only at angles where it does not jump."""
+        jumps = {id(f): sym.jump_set(f) for f in (self.a, self.b)}
+
+        def sides(f, angle):
+            for pt, left, right in jumps[id(f)]:
+                if abs(math.remainder(pt.angle - angle, TWO_PI)) <= 10 * sym.ANGLE_SNAP:
+                    return left, right
+            return sym.evaluate_sides(f, angle)
+
+        return {angle: self._sides(angle, sides) for angle in self.jump_angles()}
 
 
 @dataclass(frozen=True)
@@ -125,22 +180,12 @@ def is_matching_function(c: PCSymbol, tol: float = MATCHING_TOL, n: int = GRID_N
 
 def build_u_matrix(pair: MatchingPair) -> MatrixSymbol:
     """Triangular matrix symbol [[0, -d], [c, (~a)^-1]] of a matching pair."""
-    ta_inv = sym.inverse(sym.tilde(pair.a))
-    return MatrixSymbol(((Const(0.0), -pair.d), (pair.c, ta_inv)))
+    return MatrixSymbol(pair.a, pair.b, general=False)
 
 
 def build_u_matrix_general(a: PCSymbol, b: PCSymbol) -> MatrixSymbol:
-    """The general (not necessarily matching) matrix symbol
-
-        [[a - b*~b*(~a)^-1,  -b*(~a)^-1],
-         [     ~b*(~a)^-1,      (~a)^-1]].
-    """
-    ta_inv = sym.inverse(sym.tilde(a))
-    tb = sym.tilde(b)
-    return MatrixSymbol((
-        (a - b * tb * ta_inv, -(b * ta_inv)),
-        (tb * ta_inv, ta_inv),
-    ))
+    """The general (not necessarily matching) matrix symbol of (a, b)."""
+    return MatrixSymbol(a, b, general=True)
 
 
 def pair_product(p1: MatchingPair, p2: MatchingPair, tol: float = MATCHING_TOL) -> MatchingPair:

@@ -481,6 +481,11 @@ def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT,
     return _eval(sym, t.angle, side, tol)
 
 
+def evaluate_sides(sym: PCSymbol, t: CirclePoint | float) -> tuple[complex, complex]:
+    """(sym(t-0), sym(t+0))."""
+    return evaluate(sym, t, LEFT), evaluate(sym, t, RIGHT)
+
+
 def _eval(sym: PCSymbol, theta: float, side: str, tol: float) -> complex:
     if isinstance(sym, Const):
         return sym.value
@@ -812,8 +817,9 @@ def _pieces(breaks, c, lam) -> ExpPieces:
 
 
 def _pieces_at(pieces: ExpPieces, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, lam) of the arc holding each angle of (0, 2*pi)."""
-    j = np.searchsorted(pieces.breaks, thetas, side="right") - 1
+    """(c, lam) of the arc holding each angle of (0, 2*pi]; an angle that
+    rounds onto 2*pi belongs to the last arc."""
+    j = np.minimum(np.searchsorted(pieces.breaks, thetas, side="right") - 1, len(pieces.c) - 1)
     return pieces.c[j], pieces.lam[j]
 
 

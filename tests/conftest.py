@@ -1,10 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from th_invert import catalog
-from th_invert.symbols import CirclePoint, Monomial, PCSymbol, evaluate
+from th_invert import symbols as sy
+from th_invert.symbols import CirclePoint, Const, Monomial, PCSymbol, PiecewiseConst, PowerArc
+
+TWO_PI = 2 * math.pi
 
 
 @pytest.fixture
@@ -44,3 +49,27 @@ def max_grid_deviation(s1: PCSymbol, s2: PCSymbol, n: int = 1024) -> float:
     l1, r1 = evaluate_both_sides(s1, angles)
     l2, r2 = evaluate_both_sides(s2, angles)
     return float(max(np.max(np.abs(l1 - l2)), np.max(np.abs(r1 - r2))))
+
+
+@st.composite
+def exp_linear_leaves(draw, allow_extension=True):
+    """One exp-linear symbol: a constant, monomial, power arc, step function,
+    or the half-circle extension of one of these."""
+    moduli = st.floats(0.5, 2.0)
+    phases = st.floats(-math.pi, math.pi)
+    choice = draw(st.integers(0, 4 if allow_extension else 3))
+    if choice == 0:
+        return Const(draw(moduli) * cmath.exp(1j * draw(phases)))
+    if choice == 1:
+        return Monomial(draw(st.integers(-3, 3)))
+    if choice == 2:
+        beta = complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.3, 0.3)))
+        return PowerArc(beta, CirclePoint(draw(st.floats(0, TWO_PI - 1e-6))))
+    if choice == 3:
+        breaks = sorted(draw(st.lists(st.floats(0, TWO_PI - 1e-3), min_size=1, max_size=3,
+                                      unique=True)))
+        if any(b - a < 1e-3 for a, b in zip(breaks, breaks[1:])):
+            breaks = breaks[:1]
+        values = [draw(moduli) * cmath.exp(1j * draw(phases)) for _ in breaks]
+        return PiecewiseConst(tuple(breaks), tuple(values))
+    return sy.HalfCircleExtension(draw(exp_linear_leaves(allow_extension=False)))

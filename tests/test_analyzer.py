@@ -280,11 +280,13 @@ def test_cross_check_reports_degenerate_routes(quarter_pair):
     assert any("not Fredholm" in d for d in cc.discrepancies)
 
 
-def test_route_agreement_randomized():
+@pytest.mark.parametrize("p", [1.3, 1.7, 2.9])
+def test_route_agreement_randomized(p):
+    # arcs bulge to the left of their chords for p < 2, to the right for p > 2
     rng = np.random.default_rng(42)
     for _ in range(20):
-        pair = random_matching_pair(rng, 1.7)
-        cc = cross_check(pair, 1.7, with_sections=False)
+        pair = random_matching_pair(rng, p)
+        cc = cross_check(pair, p, with_sections=False)
         assert cc.subordinated_sum == cc.matrix_route == cc.th_route
         assert cc.consistent
 

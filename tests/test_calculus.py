@@ -388,6 +388,21 @@ def test_matrix_index_of_triangular_symbol(quarter_pair):
     assert not matrix_toeplitz_index(u, 2.0).fredholm
 
 
+def test_matrix_index_with_steps_in_a_and_b_and_continuous_c():
+    # (a0 * c, a0): a and b jump together at the steps of a0, while c = t^-1
+    # is continuous; d = a0 / (~a0 * ~c) jumps at the steps and their mirrors
+    from th_invert.matching import build_u_matrix, make_matching_pair
+
+    a0 = sy.product(Const(0.8 + 0.3j), PiecewiseConst((0.9, 4.0), (1.2, -0.7 + 0.5j)))
+    pair = make_matching_pair(sy.product(a0, Monomial(-1)), a0)
+    assert not sy.jump_set(pair.c) and len(sy.jump_set(pair.a)) == 2
+    for p in (1.5, 3.0):
+        subordinated = toeplitz_index(pair.c, p).index + toeplitz_index(pair.d, p).index
+        assert matrix_toeplitz_index(build_u_matrix(pair), p).index == subordinated
+        # U1 of th_index has b2 = 0 at +-1; the index sum rule splits the sum
+        assert th_index(pair.a, pair.b, p) + th_index(pair.a, -pair.b, p) == subordinated
+
+
 def test_y_grid_symmetric_with_zero():
     ys = y_grid(257)
     assert len(ys) == 257

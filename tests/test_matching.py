@@ -15,9 +15,9 @@ from th_invert.matching import (
     make_matching_pair,
     pair_product,
 )
-from th_invert.symbols import CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
+from th_invert.symbols import LEFT, RIGHT, CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
 
-from conftest import max_grid_deviation
+from conftest import exp_linear_leaves, max_grid_deviation
 
 
 def test_quarter_twist_pair_is_matching(quarter_pair):
@@ -114,6 +114,66 @@ def test_matrix_determinant_equals_cd(quarter_pair, half_plane_pair):
         u = build_u_matrix(pair)
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         assert max_grid_deviation(det, pair.c * pair.d) < 1e-10
+
+
+@st.composite
+def matching_leaves(draw):
+    """A leaf f with f * ~f = 1: monomial, power arc anchored at +-1, or
+    half-circle extension."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        return Monomial(draw(st.integers(-3, 3)))
+    if choice == 1:
+        beta = complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.3, 0.3)))
+        return PowerArc(beta, CirclePoint(draw(st.sampled_from([0.0, math.pi]))))
+    return sy.HalfCircleExtension(draw(exp_linear_leaves(allow_extension=False)))
+
+
+@st.composite
+def matrix_symbols(draw):
+    """U of a random pair: the triangular or general matrix of a matching
+    pair (a0 * c, a0), or the general matrix of an arbitrary pair."""
+    def leaf_product(leaves):
+        return sy.product(*draw(st.lists(leaves, min_size=1, max_size=3)))
+
+    kind = draw(st.sampled_from(["triangular", "matching-general", "general"]))
+    a0 = leaf_product(exp_linear_leaves())
+    if kind == "general":
+        return build_u_matrix_general(a0, leaf_product(exp_linear_leaves()))
+    pair = make_matching_pair(sy.product(a0, leaf_product(matching_leaves())), a0)
+    if kind == "triangular":
+        return build_u_matrix(pair)
+    return build_u_matrix_general(pair.a, pair.b)
+
+
+@given(matrix_symbols(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_matrix_values_match_the_entry_trees(u, seed):
+    # the entry symbols u[i, j] are the reference for the value formulas
+    def close(got, ref):
+        return np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def entries(t, side):
+        return np.array([[sy.evaluate(u[i, j], t, side) for j in range(2)] for i in range(2)])
+
+    table = u.one_sided()
+    assert list(table) == u.jump_angles()
+    for pt, _, _ in (jump for i in range(2) for j in range(2) for jump in sy.jump_set(u[i, j])):
+        assert any(abs(math.remainder(pt.angle - angle, 2 * math.pi)) < 1e-9 for angle in table)
+    for angle, one_sided in table.items():
+        t = CirclePoint(angle)
+        for side, value in zip((LEFT, RIGHT), one_sided):
+            assert close(value, entries(t, side))
+            assert close(u.evaluate_matrix(t, side), entries(t, side))
+
+    thetas = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, 48)
+    jumps = np.array(u.jump_angles() + [0.0, 2 * math.pi])
+    thetas = thetas[np.min(np.abs(thetas[:, None] - jumps[None, :]), axis=1) > 1e-6]
+    for theta in thetas[:6]:
+        for side in (LEFT, RIGHT):
+            assert close(u.evaluate_matrix(theta, side), entries(CirclePoint(theta), side))
+    e = [[sy.evaluate_array(u[i, j], thetas) for j in range(2)] for i in range(2)]
+    assert close(u.determinant(thetas), e[0][0] * e[1][1] - e[0][1] * e[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from th_invert.symbols import (
     jump_set,
 )
 
-from conftest import max_grid_deviation
+from conftest import exp_linear_leaves, max_grid_deviation
 
 TWO_PI = 2 * math.pi
 
@@ -297,28 +297,6 @@ def test_piecewise_linear_values_and_one_sided_limits():
 
 
 @st.composite
-def exp_linear_leaves(draw, allow_extension=True):
-    moduli = st.floats(0.5, 2.0)
-    phases = st.floats(-math.pi, math.pi)
-    choice = draw(st.integers(0, 4 if allow_extension else 3))
-    if choice == 0:
-        return Const(draw(moduli) * cmath.exp(1j * draw(phases)))
-    if choice == 1:
-        return Monomial(draw(st.integers(-3, 3)))
-    if choice == 2:
-        beta = complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.3, 0.3)))
-        return PowerArc(beta, CirclePoint(draw(st.floats(0, TWO_PI - 1e-6))))
-    if choice == 3:
-        breaks = sorted(draw(st.lists(st.floats(0, TWO_PI - 1e-3), min_size=1, max_size=3,
-                                      unique=True)))
-        if any(b - a < 1e-3 for a, b in zip(breaks, breaks[1:])):
-            breaks = breaks[:1]
-        values = [draw(moduli) * cmath.exp(1j * draw(phases)) for _ in breaks]
-        return PiecewiseConst(tuple(breaks), tuple(values))
-    return sy.HalfCircleExtension(draw(exp_linear_leaves(allow_extension=False)))
-
-
-@st.composite
 def exp_linear_symbols(draw):
     """Products of exp-linear leaves under raw and simplifying tilde,
     inverse and conjugate nodes."""
@@ -350,6 +328,12 @@ def test_exp_pieces_evaluate_like_the_tree(sym, seed):
     expected = sy.evaluate_array(sym, thetas)
     got = _piece_values(pieces, thetas)
     assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_exp_pieces_with_a_break_next_to_zero():
+    # reflected, the break at 1e-15 rounds onto 2*pi and leaves an arc of one ulp
+    g = sy.HalfCircleExtension(PiecewiseConst((1e-15,), (2.0,)))  # 2 above, 1/2 below
+    assert fourier_coefficient(g, 0).value == pytest.approx(1.25, abs=1e-14)
 
 
 @given(exp_linear_symbols())
