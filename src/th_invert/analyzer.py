@@ -474,17 +474,25 @@ def probe_limit_index(symbol: PCSymbol, p,
 
     The index is constant between consecutive critical exponents, which
     :func:`critical_exponents` gives in closed form.  p* is the smallest one
-    in (p, p+1] and the index is read once, at the midpoint of (p, p*), or at
+    in (p, p+1] and the index is read at the midpoint of (p, p*), or at
     p+1 when there is none.  An exponent within relative 1e-9 of p counts as
     p itself, and one within relative 1e-9 above p+1 as inside the window.
-    NoFredholmNeighborhood when T(symbol) is not Fredholm there, as when the
-    symbol vanishes on a continuous stretch.
+    A next exponent s_next just above that window can put the curve at p+1
+    within the winding tolerance of the origin; when the read at p+1 is not
+    Fredholm and some s_next exists, the index is read again at the midpoint
+    of (p, s_next), where it is the same.  NoFredholmNeighborhood when
+    T(symbol) is not Fredholm there, as when the symbol vanishes on a
+    continuous stretch.
     """
     pe = _as_exponent(p)
-    p_star = next((s for s in critical_exponents(symbol)
-                   if pe.p * (1 + CRITICAL_RTOL) < s <= (pe.p + 1) * (1 + CRITICAL_RTOL)), None)
+    above = [s for s in critical_exponents(symbol) if s > pe.p * (1 + CRITICAL_RTOL)]
+    s_next = above[0] if above else None
+    p_star = s_next if above and s_next <= (pe.p + 1) * (1 + CRITICAL_RTOL) else None
     s_used = pe.p + 1.0 if p_star is None else 0.5 * (pe.p + p_star)
     res = toeplitz_index(symbol, s_used, n_t=512, min_modulus_tol=min_modulus_tol)
+    if not res.fredholm and p_star is None and s_next is not None:
+        s_used = 0.5 * (pe.p + s_next)
+        res = toeplitz_index(symbol, s_used, n_t=512, min_modulus_tol=min_modulus_tol)
     if not res.fredholm:
         raise NoFredholmNeighborhood(
             f"T(symbol) is not Fredholm at s = {s_used:.6g}, between p = {pe.p:g} "

@@ -242,8 +242,22 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     rather than any fixed H^p function (the shift section T_n(t) kills
     e_{n-1}, for example); they are excluded from ``dimension`` and
     counted in ``edge_dimension``.
+
+    The singular values are computed first, without vectors.  When all of
+    them clear ``sv_threshold`` and there are no more columns than rows,
+    nothing is dropped, so neither refusal can fire (both need a dropped
+    value), and the kernel is empty.  Only otherwise is the full SVD run,
+    and the count, the refusals, the edge filter and the basis all come
+    from its values and vectors.  The two LAPACK drivers agree to a few
+    ulps, so a value that clears the threshold by less than relative 1e-9
+    is left to the full SVD as well: a tie is decided as without the screen.
     """
     entries = m.entries if isinstance(m, FiniteSectionMatrix) else np.asarray(m)
+    cols = entries.shape[1]
+    s = np.linalg.svd(entries, compute_uv=False)
+    if cols <= len(s) and not np.any(s < sv_threshold * (1 + 1e-9)):
+        return NumericalKernel(0, np.zeros((cols, 0)), sv_threshold,
+                               float(s.min()) if len(s) else None, None, 0)
     _, s, vh = np.linalg.svd(entries)
     dropped = s < sv_threshold
     n_dropped = int(np.count_nonzero(dropped))
@@ -256,7 +270,6 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
                 f"below required {gap_factor:.0f}")
         if smallest_kept < sv_threshold:
             raise NoSpectralGap("smallest kept singular value below the threshold")
-    cols = entries.shape[1]
     vectors = []
     edge = 0
     top = int(0.75 * cols)
@@ -332,6 +345,9 @@ def kernel_formula_eval(pair: MatchingPair, kappa1: int, kappa2: int, n: int = 5
       acting on im P_{kappa1-1}, realized on size-n sections, i.e.
       kappa1 - rank of a (-kappa2) x kappa1 matrix.  The variant with the
       projection of rank -kappa2 + 2 is evaluated alongside for logging.
+      The compression is compared with the one on sections of size
+      max(n // 2, 8 max(kappa1, -kappa2)), which must be below n
+      (PreconditionViolation otherwise).
 
     ``tol`` bounds the quadrature coefficients of the sections.
     """
@@ -357,8 +373,13 @@ def kernel_formula_eval(pair: MatchingPair, kappa1: int, kappa2: int, n: int = 5
         z = np.linalg.solve(a_v0, rhs)     # T^-1(v0) on im P_{kappa1-1}
         return np.linalg.solve(a_u0, a_w @ z)
 
+    n_half = max(n // 2, 8 * max(kappa1, -kappa2))
+    if n_half >= n:
+        raise PreconditionViolation(
+            f"section size {n} leaves no smaller section to compare with "
+            f"(the comparison needs {n_half}); use a size above {n_half}")
     m_full = compression(n)
-    m_half = compression(max(n // 2, 8 * max(kappa1, -kappa2)))
+    m_half = compression(n_half)
 
     def dims(rows: int) -> tuple[int, int]:
         reduced = m_full[:rows, :]

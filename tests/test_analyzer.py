@@ -189,6 +189,17 @@ def test_probe_rounds_critical_exponents_at_the_window_ends():
     assert res.limit_index == 0
 
 
+@pytest.mark.parametrize("shrink", [2e-9, 5e-8])
+def test_probe_reads_below_a_critical_exponent_just_past_the_window(shrink):
+    # the exponent 4 / (1 - shrink) is outside (3, 4 (1 + 1e-9)], yet close
+    # enough that the curve at s = 4 passes within the winding tolerance of
+    # the origin; the index on (3, 4 / (1 - shrink)) is 0 all the same
+    res = probe_limit_index(PowerArc(0.25 * (1 - shrink)), 3.0)
+    assert res.limit_index == 0
+    assert res.critical_exponent is None
+    assert 3.0 < res.s_used < 4.0
+
+
 def test_probe_makes_one_index_call(monkeypatch, quarter_pair):
     calls = []
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from th_invert import symbols as sy
-from th_invert.analyzer import Analysis
+from th_invert.analyzer import Analysis, classify
 from th_invert.catalog import quarter_twist, quarter_twist_pair
-from th_invert.errors import NoSpectralGap, NotPolynomial
+from th_invert.errors import NoSpectralGap, NotPolynomial, PreconditionViolation
 from th_invert.matching import make_matching_pair
+from th_invert.defaults import SPECTRAL_GAP, SV_THRESHOLD
 from th_invert.sections import (
+    NumericalKernel,
     apply_operator,
     block_assembly,
     hankel_matrix,
@@ -202,6 +205,127 @@ def test_quarter_twist_shift3_kernels():
         assert np.linalg.norm(proj - v) < 1e-8
 
 
+def reference_kernel(entries, sv_threshold=SV_THRESHOLD, gap_factor=SPECTRAL_GAP):
+    """The kernel from one full SVD: numerical_kernel before the values-only screen."""
+    _, s, vh = np.linalg.svd(entries)
+    dropped = s < sv_threshold
+    n_dropped = int(np.count_nonzero(dropped))
+    largest_dropped = float(s[dropped].max()) if n_dropped else None
+    smallest_kept = float(s[~dropped].min()) if n_dropped < len(s) else None
+    if n_dropped and smallest_kept is not None:
+        if largest_dropped > 0 and smallest_kept / largest_dropped < gap_factor:
+            raise NoSpectralGap(
+                f"kept/dropped ratio {smallest_kept / largest_dropped:.1f} "
+                f"below required {gap_factor:.0f}")
+        if smallest_kept < sv_threshold:
+            raise NoSpectralGap("smallest kept singular value below the threshold")
+    cols = entries.shape[1]
+    vectors = []
+    edge = 0
+    top = int(0.75 * cols)
+    for row in vh[len(s) - n_dropped:]:
+        v = row.conj()
+        if np.linalg.norm(v[top:]) ** 2 > 0.5:
+            edge += 1
+        else:
+            vectors.append(v)
+    basis = np.stack(vectors, axis=1) if vectors else np.zeros((cols, 0))
+    return NumericalKernel(len(vectors), basis, sv_threshold, smallest_kept,
+                           largest_dropped, edge)
+
+
+def _kernel_or_refusal(fn, entries):
+    try:
+        return fn(entries), None
+    except NoSpectralGap as exc:
+        return None, type(exc)
+
+
+def assert_kernel_matches_reference(entries):
+    got, got_refusal = _kernel_or_refusal(numerical_kernel, entries)
+    ref, ref_refusal = _kernel_or_refusal(reference_kernel, entries)
+    assert got_refusal == ref_refusal
+    if ref is None:
+        return
+    assert (got.dimension, got.edge_dimension) == (ref.dimension, ref.edge_dimension)
+    for mine, theirs in ((got.smallest_kept_sv, ref.smallest_kept_sv),
+                         (got.largest_dropped_sv, ref.largest_dropped_sv)):
+        assert (mine is None) == (theirs is None)
+        if theirs is not None:
+            assert mine == pytest.approx(theirs, rel=1e-12, abs=0)
+    cols = entries.shape[1]
+    assert got.basis.shape == ref.basis.shape
+    if ref.largest_dropped_sv is None and cols <= entries.shape[0]:
+        assert got.basis.shape == (cols, 0)
+    # equal spans: equal orthogonal projectors
+    assert np.allclose(got.basis @ got.basis.conj().T, ref.basis @ ref.basis.conj().T,
+                       rtol=0, atol=1e-10)
+
+
+# singular values well above, around, at and below the threshold and the gap
+planted_values = st.one_of(
+    st.floats(-6, 2).map(lambda e: 10.0 ** e),
+    st.floats(-10, -6).map(lambda e: 10.0 ** e),
+    st.floats(-17, -9).map(lambda e: 10.0 ** e),
+    st.just(0.0),
+    st.sampled_from([SV_THRESHOLD * (1 - 1e-13), SV_THRESHOLD, SV_THRESHOLD * (1 + 1e-13)]),
+)
+
+
+@st.composite
+def planted_matrices(draw):
+    """U diag(s) V^H with planted s; the right singular vectors of the
+    smallest values may be unit vectors at the top edge of the window."""
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    k = min(rows, cols)
+    s = sorted(draw(st.lists(planted_values, min_size=k, max_size=k)))
+    n_edge = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary(x):
+        return np.linalg.qr(x)[0]
+
+    def gaussian(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    x = gaussian(cols)
+    x[:, :n_edge] = np.eye(cols)[:, cols - n_edge:]
+    v = unitary(x)[:, :k]
+    u = unitary(gaussian(rows))[:, :k]
+    return (u * np.array(s)) @ v.conj().T
+
+
+@given(planted_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_full_svd_reference(entries):
+    assert_kernel_matches_reference(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    toeplitz_matrix(Monomial(1), 8).entries,
+    toeplitz_matrix(Monomial(1), 8).adjoint().entries,    # kills e_0: one kernel vector
+    toeplitz_matrix(Monomial(-2), 12).adjoint().entries,  # kills the top edge
+    th_section(quarter_twist(), quarter_twist() * Monomial(3), -1, 64).entries,
+    np.diag([1.0, 1e-7, 1e-9]),                            # gap violation
+    np.diag([1.0, SV_THRESHOLD]),                          # a value at the threshold
+    np.eye(3)[:2],                                         # more columns than rows
+    np.zeros((3, 3)),
+    np.zeros((3, 0)),                                      # no columns, no values
+])
+def test_kernel_matches_the_full_svd_reference_on_sections(entries):
+    assert_kernel_matches_reference(entries)
+
+
+def test_kernel_with_nothing_dropped_is_empty():
+    m = toeplitz_matrix(sy.add(Const(2.0), Monomial(1)), 8).entries
+    k = numerical_kernel(m)
+    assert k.dimension == 0 and k.edge_dimension == 0
+    assert k.basis.shape == (8, 0)
+    assert k.largest_dropped_sv is None
+    assert k.smallest_kept_sv == pytest.approx(np.linalg.svd(m)[1].min(), rel=1e-12)
+    assert k.smallest_kept_sv > 0.9
+
+
 def test_kernel_dimensions_stabilize():
     a = quarter_twist()
     b = a * Monomial(1)
@@ -290,6 +414,27 @@ def test_kernel_formula_mixed_quadrant_shiftminus(quarter_pair):
     entry = res.reduced_matrix[0, 0]
     assert abs(entry - np.exp(-1j * math.pi / 4) * c0.real) < 1e-3
     assert abs(entry) > 1.0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_kernel_formula_refuses_a_section_with_no_smaller_comparison(n):
+    # kappas (1, -1): the comparison section has size max(n // 2, 8) >= n, so
+    # the convergence refusal could never fire
+    with pytest.raises(PreconditionViolation):
+        kernel_formula_eval(quarter_twist_pair(-1), 1, -1, n=n)
+    with pytest.raises(PreconditionViolation):
+        classify(quarter_twist_pair(-1), 1.5, formula_section=n)
+
+
+@pytest.mark.parametrize("n, entry", [
+    (16, 0.8413290583582871 - 0.8413290583582866j),
+    (512, 0.8348307822128198 - 0.8348307822128198j),
+])
+def test_kernel_formula_sizes_above_the_comparison(n, entry):
+    res = kernel_formula_eval(quarter_twist_pair(-1), 1, -1, n=n)
+    assert (res.dimension, res.rank, res.alt_dimension) == (0, 1, 0)
+    assert res.reduced_matrix.shape == (1, 1)
+    assert res.reduced_matrix[0, 0] == pytest.approx(entry, rel=1e-12)
 
 
 def test_kernel_formula_mixed_quadrant_alt_projection(quarter_pair):
