@@ -47,9 +47,10 @@ from .matching import MatrixSymbol, build_u_matrix_general
 from .symbols import (
     TWO_PI,
     CirclePoint,
-    Exp,
+    ExpArcs,
+    Monomial,
     PCSymbol,
-    PiecewiseLinear,
+    PiecewiseConst,
     evaluate_array,
     evaluate_sides,
     jump_set,
@@ -131,7 +132,6 @@ def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
         values=values,
         closed=False,
         min_modulus=float(np.min(np.abs(values))),
-        segments=(("arc", float("nan")),),
     )
 
 
@@ -149,7 +149,6 @@ class SymbolCurve:
     values: np.ndarray
     closed: bool
     min_modulus: float
-    segments: tuple  # (kind, angle) per segment id
 
     def __len__(self):
         return len(self.values)
@@ -221,14 +220,11 @@ def _assemble_closed_curve(
     pieces: list[np.ndarray] = []
     seg_ids: list[np.ndarray] = []
     params: list[np.ndarray] = []
-    segments: list[tuple[str, float]] = []
 
-    def emit(kind, angle, par, vals):
-        segments.append((kind, angle))
-        sid = len(segments) - 1
+    def emit(par, vals):
         pieces.append(np.asarray(vals, dtype=complex))
         params.append(np.asarray(par, dtype=float))
-        seg_ids.append(np.full(len(vals), sid, dtype=int))
+        seg_ids.append(np.full(len(vals), len(seg_ids), dtype=int))
 
     def arc_evaluator(theta):
         def ev(us):
@@ -245,7 +241,7 @@ def _assemble_closed_curve(
         thetas = np.concatenate([np.linspace(0.0, TWO_PI, n_t, endpoint=False), [TWO_PI]])
         vals = cont_values(np.mod(thetas, TWO_PI))
         thetas, vals = _adaptive_polyline(thetas, vals, stretch_evaluator)
-        emit("stretch", 0.0, thetas[:-1], vals[:-1])
+        emit(thetas[:-1], vals[:-1])
         start = vals[0]
     else:
         start = sides[jump_angles[0]][1]
@@ -260,10 +256,10 @@ def _assemble_closed_curve(
             vals = np.concatenate([[sides[a0][1]], inner, [sides[theta_next][0]]])
             par = np.concatenate([[a0], thetas, [a1]])
             par, vals = _adaptive_polyline(par, vals, stretch_evaluator)
-            emit("stretch", a0, par, vals)
+            emit(par, vals)
             ev = arc_evaluator(theta_next)
             apar, avals = _adaptive_polyline(us0, ev(us0), ev)
-            emit("jump-arc", theta_next, apar, avals)
+            emit(apar, avals)
 
     values = np.concatenate(pieces)
     values = np.concatenate([values, [start]])  # explicit closure
@@ -275,7 +271,6 @@ def _assemble_closed_curve(
         values=values,
         closed=True,
         min_modulus=float(np.min(np.abs(values))),
-        segments=tuple(segments),
     )
 
 
@@ -485,26 +480,41 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
 # ---------------------------------------------------------------------------
 
 
-def _limits_at_pm1(symbol: PCSymbol) -> tuple[complex, complex, complex, complex]:
-    """(f(1+0), f(1-0), f(-1+0), f(-1-0))."""
+def _half_circle_limits(symbol: PCSymbol):
+    """(alpha, f(e^{i alpha} + 0), f(-e^{i alpha} - 0)) for alpha = 0 and pi:
+    the limits at both ends of each half-circle."""
     l1, r1 = evaluate_sides(symbol, 0.0)
     lm, rm = evaluate_sides(symbol, math.pi)
-    return r1, l1, rm, lm
+    return (0.0, r1, lm), (math.pi, rm, l1)
 
 
 def split_generating_pair(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol]:
     """Interpolants (g, b0) matching (a, b) at the points +-1.
 
-    b0 interpolates b's one-sided limits at +-1 linearly in the angle on
-    each half-circle, so b - b0 vanishes at +-1 and is continuous there;
-    g = exp of the angle-linear interpolation of log a, hence invertible,
-    continuous off +-1, and equal to a's one-sided limits at +-1.
+    On the half-circle from alpha to alpha + pi (alpha = 0 or pi), running
+    from the limit u at alpha + 0 to the limit w at alpha + pi - 0:
+
+    * g = exp(log u + k (theta - alpha)) with k = (log w - log u) / pi,
+      one exp-linear arc c e^{i lam theta} with c = e^{log u - k alpha}
+      and lam = -i k; g is invertible and continuous off +-1;
+    * b0 = (u + w)/2 - (w - u)/2 e^{i (theta - alpha)}, a piecewise
+      constant plus a piecewise constant times t.
+
+    So g and b0 take the one-sided limits of a and b at +-1, and b - b0
+    vanishes at +-1 and is continuous there.  Off +-1 only the continuity
+    of b0 matters: two such b0 differ by a function continuous on the whole
+    circle, whose Hankel operator is compact, so no index depends on the
+    shape of b0 there.  The limits of a at +-1 must not vanish.
     """
-    b1p, b1m, bm1p, bm1m = _limits_at_pm1(b)
-    b0 = PiecewiseLinear((0.0, math.pi), (b1p, bm1p), (bm1m, b1m))
-    a1p, a1m, am1p, am1m = _limits_at_pm1(a)
-    logs = [np.log(complex(v)) for v in (a1p, am1m, am1p, a1m)]
-    g = Exp(PiecewiseLinear((0.0, math.pi), (logs[0], logs[2]), (logs[1], logs[3])))
+    arcs = []
+    for alpha, u, w in _half_circle_limits(a):
+        log_u = cmath.log(u)
+        k = (cmath.log(w) - log_u) / math.pi
+        arcs.append((cmath.exp(log_u - k * alpha), -1j * k))
+    g = ExpArcs((0.0, math.pi), *zip(*arcs))
+    (_, u0, w0), (_, u1, w1) = _half_circle_limits(b)
+    b0 = (PiecewiseConst((0.0, math.pi), ((u0 + w0) / 2, (u1 + w1) / 2))
+          + PiecewiseConst((0.0, math.pi), ((u0 - w0) / 2, (w1 - u1) / 2)) * Monomial(1))
     return g, b0
 
 
@@ -529,14 +539,19 @@ def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N
              check: Optional[FredholmCheck] = None) -> int:
     """Index of the Fredholm operator T(a) + H(b) on H^p.
 
-    Splits b = b0 + b1 and a = g * (a*g^-1) with g, b0 carrying the +-1
-    behaviour; then
+    Splits b = b0 + b1 and a = g * (a*g^-1) with the interpolants of
+    split_generating_pair carrying the +-1 behaviour: g is one exp-linear
+    arc per half-circle and b0 a piecewise constant plus a piecewise
+    constant times t.  Then
 
         ind = -wind(symbol of T(g) + H(b0)) + ind T(U1) / 2,
 
     where U1 is the general matrix symbol of the pair (a*g^-1, b1*g^-1),
     whose entries are continuous at +-1, and ind T(U1) comes from the
-    determinant curve of the arc-interpolated matrix.  ``check`` is the
+    determinant curve of the arc-interpolated matrix.  The shape of b0 off
+    +-1 does not change the index, since H of a continuous function is
+    compact.  The check runs before the split, so an a that vanishes at
+    +-1 is refused before its logarithm is taken.  ``check`` is the
     th_fredholm_check of (a, b) when the caller already has it.
     """
     if check is None:

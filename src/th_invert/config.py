@@ -18,7 +18,7 @@ from .defaults import (
     SV_THRESHOLD,
     WINDING_MIN_MODULUS,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PreconditionViolation, ValidationError
 from .symbols import (
     CirclePoint,
     Conjugate,
@@ -53,11 +53,34 @@ class Tolerances:
     quadrature: float = QUADRATURE_TOL
 
 
+def _is_real(obj) -> bool:
+    """A finite JSON number; booleans and strings are not numbers."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        return False
+    try:
+        return math.isfinite(obj)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _real(obj, where: str) -> float:
+    if not _is_real(obj):
+        raise ValidationError(f"{where}: expected a finite real number, got {obj!r}")
+    return float(obj)
+
+
+def _list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise ValidationError(f"{where}: expected a list, got {obj!r}")
+    return obj
+
+
 def _complex_from(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_real(obj):
         return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        return complex(_real(obj.get("re", 0.0), f"{where}.re"),
+                       _real(obj.get("im", 0.0), f"{where}.im"))
     raise ValidationError(f"{where}: expected a number or {{re, im}} object, got {obj!r}")
 
 
@@ -66,7 +89,18 @@ def _complex_to(z: complex):
 
 
 def decode_symbol(obj, where: str = "symbol") -> PCSymbol:
-    """Expression grammar -> symbol tree."""
+    """Expression grammar -> symbol tree.
+
+    Every malformed node, including one that a symbol constructor refuses,
+    raises ValidationError naming its path.
+    """
+    try:
+        return _decode_node(obj, where)
+    except PreconditionViolation as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _decode_node(obj, where: str) -> PCSymbol:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValidationError(f"{where}: expected an object with an 'op' field")
     op = obj["op"]
@@ -83,10 +117,13 @@ def decode_symbol(obj, where: str = "symbol") -> PCSymbol:
         extra = set(obj) - {"op", "re", "im"}
         if extra:
             raise ValidationError(f"{where}: unknown fields {sorted(extra)} for op 'const'")
-        return Const(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
+        return Const(_complex_from({k: obj[k] for k in ("re", "im") if k in obj}, where))
     if op == "monomial":
         need("n")
-        return Monomial(int(obj["n"]))
+        n = obj["n"]
+        if not (isinstance(n, int) and _is_real(n)):
+            raise ValidationError(f"{where}.n: expected an integer, got {n!r}")
+        return Monomial(n)
     if op == "power_arc":
         extra = set(obj) - {"op", "beta", "anchor_angle"}
         if extra:
@@ -94,13 +131,14 @@ def decode_symbol(obj, where: str = "symbol") -> PCSymbol:
         beta = _complex_from(obj["beta"], f"{where}.beta") if "beta" in obj else None
         if beta is None:
             raise ValidationError(f"{where}: op 'power_arc' requires field 'beta'")
-        anchor = CirclePoint(float(obj.get("anchor_angle", 0.0)))
+        anchor = CirclePoint(_real(obj.get("anchor_angle", 0.0), f"{where}.anchor_angle"))
         return PowerArc(beta, anchor)
     if op == "piecewise_const":
         need("break_angles", "values")
-        breaks = tuple(CirclePoint(float(a)) for a in obj["break_angles"])
+        breaks = tuple(CirclePoint(_real(a, f"{where}.break_angles[{i}]"))
+                       for i, a in enumerate(_list(obj["break_angles"], f"{where}.break_angles")))
         values = tuple(_complex_from(v, f"{where}.values[{i}]")
-                       for i, v in enumerate(obj["values"]))
+                       for i, v in enumerate(_list(obj["values"], f"{where}.values")))
         return PiecewiseConst(breaks, values)
     if op == "half_circle_extension":
         need("g0")
@@ -108,11 +146,11 @@ def decode_symbol(obj, where: str = "symbol") -> PCSymbol:
     if op == "sum":
         need("terms")
         return Sum(tuple(decode_symbol(t, f"{where}.terms[{i}]")
-                         for i, t in enumerate(obj["terms"])))
+                         for i, t in enumerate(_list(obj["terms"], f"{where}.terms"))))
     if op == "product":
         need("factors")
         return Product(tuple(decode_symbol(t, f"{where}.factors[{i}]")
-                             for i, t in enumerate(obj["factors"])))
+                             for i, t in enumerate(_list(obj["factors"], f"{where}.factors"))))
     if op in ("inverse", "conjugate", "tilde"):
         need("child")
         child = decode_symbol(obj["child"], f"{where}.child")
@@ -197,7 +235,7 @@ def parse_config(text: str) -> AnalysisConfig:
                for name, expr in raw["symbols"].items()}
 
     p_values = raw.get("p_values", [])
-    if not isinstance(p_values, list) or not all(isinstance(p, (int, float)) for p in p_values):
+    if not isinstance(p_values, list) or not all(_is_real(p) for p in p_values):
         raise ValidationError("field 'p_values' must be a list of numbers")
     p_values = [check_exponent(p) for p in p_values]
 
@@ -205,7 +243,7 @@ def parse_config(text: str) -> AnalysisConfig:
     for key, val in raw.get("tolerances", {}).items():
         if key not in {f.name for f in fields(Tolerances)}:
             raise ValidationError(f"tolerances: unknown tolerance '{key}'")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_real(val) or val <= 0:
             raise ValidationError(f"tolerances.{key} must be a positive number")
         tolerances[key] = float(val)
 

@@ -306,18 +306,6 @@ def apply_operator(a: PCSymbol, b: PCSymbol, sign: int, poly: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def projection_upper(rank: int, n: int) -> np.ndarray:
-    """I - T(t^m) T(t^-m): the coordinate projection onto e_0..e_{m-1}.
-
-    The degenerate rank-0 case (needed when an index vanishes) is the zero
-    projection.
-    """
-    p = np.zeros((n, n))
-    for i in range(min(rank, n)):
-        p[i, i] = 1.0
-    return p
-
-
 @dataclass(frozen=True)
 class KernelFormulaResult:
     dimension: int

@@ -2,7 +2,8 @@
 
 A symbol is an immutable expression tree built from a handful of
 primitives (constants, monomials t^n, rotated power functions, piecewise
-constants, half-circle extensions) and closed under sum, product,
+constants, half-circle extensions, and the internal exp-linear arcs
+``ExpArcs`` of the index splitting) and closed under sum, product,
 inversion, complex conjugation and the substitution t -> 1/t (written
 ``~a`` below and called the tilde).  Every node supports
 
@@ -13,14 +14,13 @@ inversion, complex conjugation and the substitution t -> 1/t (written
   adaptive quadrature split at the jump points otherwise.
 
 Closed forms come from one place.  Every sum, product, tilde and conjugate
-of constants, monomials, power arcs, piecewise constants, and of inverses
-and half-circle extensions of single terms, is a sum of piecewise
-exp-linear terms, each c_j * exp(i lam_j theta) on the arcs between its
-breaks (:func:`_exp_terms`).  Its coefficients are sums of one closed-form
-integral per arc, exactly c or 0 for a term c * t^k, and a finite Laurent
-polynomial is a sum of such terms.  A bare ``PiecewiseLinear`` has its own
-affine formula.  Quadrature is left to ``Exp``, to inverses of sums such as
-``1/(3 + t)`` and to every symbol built on them.
+of constants, monomials, power arcs, piecewise constants, exp-linear arcs,
+and of inverses and half-circle extensions of single terms, is a sum of
+piecewise exp-linear terms, each c_j * exp(i lam_j theta) on the arcs
+between its breaks (:func:`_exp_terms`).  Its coefficients are sums of one
+closed-form integral per arc, exactly c or 0 for a term c * t^k, and a
+finite Laurent polynomial is a sum of such terms.  Quadrature is left to
+inverses of sums such as ``1/(3 + t)`` and to every symbol built on them.
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
@@ -199,30 +199,29 @@ class PiecewiseConst(PCSymbol):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(PCSymbol):
-    """Affine-in-angle interpolation on each arc between consecutive breaks.
+class ExpArcs(PCSymbol):
+    """``c[j] * exp(i * lam[j] * theta)`` on the arc from ``breaks[j]`` to
+    ``breaks[j+1]``, where ``breaks[0] = 0`` and the last arc ends at 2*pi.
 
-    On the arc from ``breaks[j]`` to ``breaks[j+1]`` the value runs linearly
-    from ``starts[j]`` to ``ends[j]``.  Used internally to build the
-    continuous-off-(+-1) interpolants of the index splitting; not part of
-    the public config grammar.
+    Used internally to build the interpolant g of the index splitting; not
+    part of the public config grammar.
     """
 
     breaks: tuple
-    starts: tuple
-    ends: tuple
+    c: tuple
+    lam: tuple
 
     def __post_init__(self):
-        pts = tuple(b if isinstance(b, CirclePoint) else CirclePoint(b) for b in self.breaks)
-        s = tuple(complex(v) for v in self.starts)
-        e = tuple(complex(v) for v in self.ends)
-        if not (len(pts) == len(s) == len(e)) or not pts:
-            raise PreconditionViolation("breaks/starts/ends must be equal-length and nonempty")
-        if any(pts[i].angle >= pts[i + 1].angle for i in range(len(pts) - 1)):
-            raise PreconditionViolation("breaks must be strictly increasing in angle")
-        object.__setattr__(self, "breaks", pts)
-        object.__setattr__(self, "starts", s)
-        object.__setattr__(self, "ends", e)
+        breaks = tuple(float(b) for b in self.breaks)
+        c = tuple(complex(v) for v in self.c)
+        lam = tuple(complex(v) for v in self.lam)
+        if not (len(breaks) == len(c) == len(lam)) or not breaks or breaks[0] != 0.0:
+            raise PreconditionViolation("breaks/c/lam must be equal-length, with breaks[0] = 0")
+        if any(x >= y for x, y in zip(breaks, breaks[1:] + (TWO_PI,))):
+            raise PreconditionViolation("breaks must be strictly increasing and below 2*pi")
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,6 @@ class Conjugate(PCSymbol):
 
 @dataclass(frozen=True)
 class Tilde(PCSymbol):
-    child: PCSymbol
-
-
-@dataclass(frozen=True)
-class Exp(PCSymbol):
-    """exp of a symbol; always invertible.  Internal-only primitive."""
-
     child: PCSymbol
 
 
@@ -369,12 +361,14 @@ def inverse(sym: PCSymbol) -> PCSymbol:
         if any(v == 0 for v in sym.values):
             raise DivisionBySmallModulus("inverse of a vanishing piecewise constant")
         return PiecewiseConst(sym.breaks, tuple(1.0 / v for v in sym.values))
+    if isinstance(sym, ExpArcs):
+        if any(v == 0 for v in sym.c):
+            raise DivisionBySmallModulus("inverse of vanishing exp-linear arcs")
+        return ExpArcs(sym.breaks, tuple(1.0 / v for v in sym.c), tuple(-v for v in sym.lam))
     if isinstance(sym, Product):
         return product(*(inverse(f) for f in sym.factors))
     if isinstance(sym, Inverse):
         return sym.child
-    if isinstance(sym, Exp):
-        return Exp(product(Const(-1.0), sym.child))
     if isinstance(sym, Tilde):
         return tilde(inverse(sym.child))
     if isinstance(sym, Conjugate):
@@ -395,14 +389,9 @@ def tilde(sym: PCSymbol) -> PCSymbol:
     if isinstance(sym, PiecewiseConst):
         pieces = _reflected_pieces(sym.breaks, sym.values)
         return PiecewiseConst(tuple(b for b, _ in pieces), tuple(v for _, v in pieces))
-    if isinstance(sym, PiecewiseLinear):
-        # the arc (b_j, b_{j+1}) running s_j -> e_j reflects to an arc running e_j -> s_j
-        pieces = _reflected_pieces(sym.breaks, tuple(zip(sym.ends, sym.starts)))
-        return PiecewiseLinear(
-            tuple(b for b, _ in pieces),
-            tuple(v[0] for _, v in pieces),
-            tuple(v[1] for _, v in pieces),
-        )
+    if isinstance(sym, ExpArcs):
+        r = _reflected(_exp_pieces(sym))
+        return ExpArcs(tuple(r.breaks[:-1]), tuple(r.c), tuple(r.lam))
     if isinstance(sym, HalfCircleExtension):
         return Inverse(sym)  # g * ~g = 1 exactly, by construction
     if isinstance(sym, Sum):
@@ -415,8 +404,6 @@ def tilde(sym: PCSymbol) -> PCSymbol:
         return Conjugate(tilde(sym.child))
     if isinstance(sym, Tilde):
         return sym.child
-    if isinstance(sym, Exp):
-        return Exp(tilde(sym.child))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -441,6 +428,9 @@ def conjugate(sym: PCSymbol) -> PCSymbol:
         return PowerArc(-sym.beta.conjugate(), sym.anchor)
     if isinstance(sym, PiecewiseConst):
         return PiecewiseConst(sym.breaks, tuple(v.conjugate() for v in sym.values))
+    if isinstance(sym, ExpArcs):
+        return ExpArcs(sym.breaks, tuple(v.conjugate() for v in sym.c),
+                       tuple(-v.conjugate() for v in sym.lam))
     if isinstance(sym, Sum):
         return add(*(conjugate(t) for t in sym.terms))
     if isinstance(sym, Product):
@@ -451,8 +441,6 @@ def conjugate(sym: PCSymbol) -> PCSymbol:
         return sym.child
     if isinstance(sym, Tilde):
         return Tilde(conjugate(sym.child))
-    if isinstance(sym, Exp):
-        return Exp(conjugate(sym.child))
     return Conjugate(sym)
 
 
@@ -497,10 +485,10 @@ def _eval(sym: PCSymbol, theta: float, side: str, tol: float) -> complex:
             zeta = 0.0 if side == RIGHT else TWO_PI
         return cmath.exp(1j * sym.beta * (zeta - math.pi))
     if isinstance(sym, PiecewiseConst):
-        return sym.values[_piece_index(sym.breaks, theta, side)]
-    if isinstance(sym, PiecewiseLinear):
-        j = _piece_index(sym.breaks, theta, side)
-        return _affine_value(sym, j, theta)
+        return sym.values[_piece_index([b.angle for b in sym.breaks], theta, side)[0]]
+    if isinstance(sym, ExpArcs):
+        j, at = _piece_index(sym.breaks, theta, side)
+        return sym.c[j] * cmath.exp(1j * sym.lam[j] * at)
     if isinstance(sym, HalfCircleExtension):
         return _eval_half_circle(sym.g0, theta, side, tol)
     if isinstance(sym, Sum):
@@ -520,37 +508,28 @@ def _eval(sym: PCSymbol, theta: float, side: str, tol: float) -> complex:
         return _eval(sym.child, theta, side, tol).conjugate()
     if isinstance(sym, Tilde):
         return _eval(sym.child, _canonical_angle(-theta), _flip(side), tol)
-    if isinstance(sym, Exp):
-        return cmath.exp(_eval(sym.child, theta, side, tol))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
-def _piece_index(breaks, theta: float, side: str) -> int:
-    """Index of the arc whose value governs the one-sided limit at theta."""
-    k = len(breaks)
-    angles = [b.angle for b in breaks]
+def _piece_index(angles, theta: float, side: str) -> tuple[int, float]:
+    """Index j of the arc whose value governs the one-sided limit at theta,
+    and the angle of arc j (from angles[j] up to angles[j+1], or to
+    angles[0] + 2*pi for the last arc) at which the limit is taken.
+
+    An angle within ANGLE_SNAP of a break, cyclically, is that break: the
+    start of the arc after it from the right, the end of the arc before it
+    from the left.
+    """
+    k = len(angles)
     for j, a in enumerate(angles):
         d = abs(theta - a)
         if d < ANGLE_SNAP or abs(d - TWO_PI) < ANGLE_SNAP:
-            return j if side == RIGHT else (j - 1) % k
+            if side == RIGHT:
+                return j, a
+            return (j - 1) % k, (a if j else a + TWO_PI)
     # strictly inside an arc: the last break at angle < theta (cyclically)
     j = bisect.bisect_left(angles, theta) - 1
-    return j % k
-
-
-def _affine_value(sym: PiecewiseLinear, j: int, theta: float) -> complex:
-    k = len(sym.breaks)
-    a0 = sym.breaks[j].angle
-    a1 = sym.breaks[(j + 1) % k].angle
-    if a1 <= a0:
-        a1 += TWO_PI
-    th = theta
-    if th < a0:
-        th += TWO_PI
-    if th > a1:  # can only happen through side logic at a break
-        th = a1
-    s = (th - a0) / (a1 - a0)
-    return sym.starts[j] + (sym.ends[j] - sym.starts[j]) * s
+    return j % k, (theta if j >= 0 else theta + TWO_PI)
 
 
 def _eval_half_circle(g0: PCSymbol, theta: float, side: str, tol: float) -> complex:
@@ -590,15 +569,10 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
     if isinstance(sym, PiecewiseConst):
         idx = _piece_indices(sym.breaks, thetas)
         return np.asarray(sym.values, dtype=complex)[idx]
-    if isinstance(sym, PiecewiseLinear):  # _affine_value, one arc per angle
-        idx = _piece_indices(sym.breaks, thetas)
-        angles = np.array([b.angle for b in sym.breaks])
-        a0, a1 = angles[idx], np.roll(angles, -1)[idx]
-        a1 = np.where(a1 <= a0, a1 + TWO_PI, a1)
-        th = np.minimum(np.where(thetas < a0, thetas + TWO_PI, thetas), a1)
-        s = (th - a0) / (a1 - a0)
-        starts, ends = np.asarray(sym.starts)[idx], np.asarray(sym.ends)[idx]
-        return starts + (ends - starts) * s
+    if isinstance(sym, ExpArcs):
+        thetas = np.mod(thetas, TWO_PI)
+        c, lam = _pieces_at(_exp_pieces(sym), thetas)
+        return c * np.exp(1j * lam * thetas)
     if isinstance(sym, HalfCircleExtension):
         upper = (thetas <= math.pi)
         out = np.empty(thetas.shape, dtype=complex)
@@ -624,8 +598,6 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
         return np.conj(evaluate_array(sym.child, thetas, tol))
     if isinstance(sym, Tilde):
         return evaluate_array(sym.child, np.mod(-thetas, TWO_PI), tol)
-    if isinstance(sym, Exp):
-        return np.exp(evaluate_array(sym.child, thetas, tol))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -645,8 +617,10 @@ def _jump_candidates(sym: PCSymbol) -> set[float]:
         return set()
     if isinstance(sym, PowerArc):
         return {sym.anchor.angle}
-    if isinstance(sym, (PiecewiseConst, PiecewiseLinear)):
+    if isinstance(sym, PiecewiseConst):
         return {b.angle for b in sym.breaks}
+    if isinstance(sym, ExpArcs):
+        return set(sym.breaks)
     if isinstance(sym, HalfCircleExtension):
         inner = _jump_candidates(sym.g0)
         return {0.0, math.pi} | inner | {_canonical_angle(-a) for a in inner}
@@ -654,7 +628,7 @@ def _jump_candidates(sym: PCSymbol) -> set[float]:
         return set().union(*(_jump_candidates(t) for t in sym.terms))
     if isinstance(sym, Product):
         return set().union(*(_jump_candidates(f) for f in sym.factors))
-    if isinstance(sym, (Inverse, Conjugate, Exp)):
+    if isinstance(sym, (Inverse, Conjugate)):
         return _jump_candidates(sym.child)
     if isinstance(sym, Tilde):
         return {_canonical_angle(-a) for a in _jump_candidates(sym.child)}
@@ -780,28 +754,6 @@ class FourierCoefficient:
     error_bound: Optional[float] = None
 
 
-def _affine_coefficient(sym: PiecewiseLinear, n: int) -> complex:
-    """n-th coefficient of the affine-in-angle interpolant: the integral of
-    (c0 + c1*theta) exp(-i n theta) over each arc."""
-    total = 0.0 + 0.0j
-    k = len(sym.breaks)
-    for j in range(k):
-        a0 = sym.breaks[j].angle
-        a1 = sym.breaks[(j + 1) % k].angle
-        if a1 <= a0:
-            a1 += TWO_PI
-        c1 = (sym.ends[j] - sym.starts[j]) / (a1 - a0)
-        c0 = sym.starts[j] - c1 * a0
-        if n == 0:
-            total += c0 * (a1 - a0) + c1 * (a1 * a1 - a0 * a0) / 2.0
-            continue
-        e0 = cmath.exp(-1j * n * a0)
-        e1 = cmath.exp(-1j * n * a1)
-        lin = ((a0 * e0 - a1 * e1) / (1j * n)) - (e0 - e1) / (n * n)
-        total += c0 * (e0 - e1) / (1j * n) + c1 * lin
-    return total / TWO_PI
-
-
 class ExpPieces(NamedTuple):
     """A symbol that is c[j] * exp(i * lam[j] * theta) on the arc from
     breaks[j] to breaks[j+1], where 0 = breaks[0] < ... < breaks[-1] = 2*pi."""
@@ -868,9 +820,8 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
 
     Sums concatenate their terms and products distribute over them, one
     factor at a time, with like terms merged after each step.  An
-    inverse or a half-circle extension needs a child of exactly one term,
-    and ``Exp`` and ``PiecewiseLinear`` nodes have no such form.  An inverse
-    raises DivisionBySmallModulus where ``evaluate`` would: |c * exp(i lam
+    inverse or a half-circle extension needs a child of exactly one term.
+    An inverse raises DivisionBySmallModulus where ``evaluate`` would: |c * exp(i lam
     theta)| is monotone on each arc, so its minimum is at an arc end.
     """
     if isinstance(sym, Const):
@@ -891,6 +842,8 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
             angles.insert(0, 0.0)
             values.insert(0, values[-1])
         return (_pieces(angles + [TWO_PI], values, np.zeros(len(values))),)
+    if isinstance(sym, ExpArcs):
+        return (_pieces(sym.breaks + (TWO_PI,), sym.c, sym.lam),)
     if isinstance(sym, (Sum, Product)):
         parts = [_exp_terms(x) for x in (sym.terms if isinstance(sym, Sum) else sym.factors)]
         if any(p is None for p in parts):
@@ -959,8 +912,6 @@ def _piece_coefficients(pieces: ExpPieces, ns: np.ndarray) -> np.ndarray:
 
 def _closed_form(sym: PCSymbol, ns) -> Optional[np.ndarray]:
     """Coefficients for the indices ns in closed form, or None when there is none."""
-    if isinstance(sym, PiecewiseLinear):
-        return np.array([_affine_coefficient(sym, int(n)) for n in ns], dtype=complex)
     terms = _exp_terms(sym)
     return None if terms is None else sum((_piece_coefficients(p, ns) for p in terms),
                                           np.zeros(len(ns), dtype=complex))

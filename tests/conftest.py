@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from th_invert import catalog
 from th_invert import symbols as sy
-from th_invert.symbols import CirclePoint, Const, Monomial, PCSymbol, PiecewiseConst, PowerArc
+from th_invert.symbols import (CirclePoint, Const, ExpArcs, Monomial, PCSymbol, PiecewiseConst,
+                               PowerArc)
 
 TWO_PI = 2 * math.pi
 
@@ -54,10 +55,10 @@ def max_grid_deviation(s1: PCSymbol, s2: PCSymbol, n: int = 1024) -> float:
 @st.composite
 def exp_linear_leaves(draw, allow_extension=True):
     """One exp-linear symbol: a constant, monomial, power arc, step function,
-    or the half-circle extension of one of these."""
+    exp-linear arcs, or the half-circle extension of one of these."""
     moduli = st.floats(0.5, 2.0)
     phases = st.floats(-math.pi, math.pi)
-    choice = draw(st.integers(0, 4 if allow_extension else 3))
+    choice = draw(st.integers(0, 5 if allow_extension else 4))
     if choice == 0:
         return Const(draw(moduli) * cmath.exp(1j * draw(phases)))
     if choice == 1:
@@ -72,4 +73,13 @@ def exp_linear_leaves(draw, allow_extension=True):
             breaks = breaks[:1]
         values = [draw(moduli) * cmath.exp(1j * draw(phases)) for _ in breaks]
         return PiecewiseConst(tuple(breaks), tuple(values))
+    if choice == 4:
+        # breaks[0] = 0, so the last arc wraps onto the first break
+        inner = sorted(draw(st.lists(st.floats(0.1, TWO_PI - 0.1), max_size=2, unique=True)))
+        if len(inner) == 2 and inner[1] - inner[0] < 0.05:
+            inner = inner[:1]
+        breaks = [0.0] + inner
+        c = [draw(moduli) * cmath.exp(1j * draw(phases)) for _ in breaks]
+        lam = [complex(draw(st.floats(-2.5, 2.5)), draw(st.floats(-0.2, 0.2))) for _ in breaks]
+        return ExpArcs(tuple(breaks), tuple(c), tuple(lam))
     return sy.HalfCircleExtension(draw(exp_linear_leaves(allow_extension=False)))

@@ -29,9 +29,9 @@ from th_invert.errors import (
     OutOfDomain,
     PreconditionViolation,
 )
-from th_invert.symbols import CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
+from th_invert.symbols import POINT_ONE, CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
 
-from conftest import max_grid_deviation
+from conftest import exp_linear_leaves, max_grid_deviation
 
 TWO_PI = 2 * math.pi
 
@@ -360,6 +360,42 @@ def test_split_interpolants_match_pair_at_fixed_points(quarter_pair):
     sy.check_invertible(g)
 
 
+def test_split_interpolants_wrap_onto_one(quarter_pair):
+    # an angle just below 2*pi, or just above 0, snaps onto the break at 1
+    a, b = quarter_pair.a, quarter_pair.b
+    g, b0 = split_generating_pair(a, b)
+    for f, ref in ((g, a), (b0, b)):
+        for side, theta in (("right", -1e-13), ("left", 1e-13)):
+            at_one = sy.evaluate(f, POINT_ONE, side)
+            assert at_one == pytest.approx(sy.evaluate(ref, POINT_ONE, side), abs=1e-12)
+            assert sy.evaluate(f, CirclePoint(theta), side) == pytest.approx(at_one, abs=1e-12)
+
+
+@st.composite
+def small_laurent_polynomials(draw):
+    coeffs = st.floats(-0.5, 0.5)
+    return sy.add(*(Const(complex(draw(coeffs), draw(coeffs))) * Monomial(k)
+                    for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))))
+
+
+@given(exp_linear_leaves(), exp_linear_leaves(), small_laurent_polynomials(),
+       st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=25, deadline=None)
+def test_th_index_ignores_continuous_changes_of_b(a, b, c, p):
+    # H(c) is compact and b + c has the jumps of b, so the index is the same.
+    # The check samples a fixed y grid and can pass a symbol through the
+    # origin (a step from 1 to -2 at p = 2); th_index refuses both alike.
+    assume(th_fredholm_check(a, b, p).min_modulus > 1e-3)
+
+    def index(b_):
+        try:
+            return th_index(a, b_, p)
+        except NotFredholm:
+            return "not Fredholm"
+
+    assert index(b + c) == index(b)
+
+
 def test_split_index_difference_bound():
     # the indices of T(g) +- H(b0) differ by at most 2
     rng = np.random.default_rng(5)
@@ -431,9 +467,10 @@ def test_through_origin_detected_at_p2():
 def test_hankel_contribution_reduces_to_scalar_form(quarter_twist):
     # for b continuous off +-1 the symbol at +-1 is the Toeplitz interpolation
     # plus +-(jump of b)/2 * h_p(y); the interior matrix stays diagonal
-    from th_invert.symbols import PiecewiseLinear, evaluate
+    from th_invert.symbols import evaluate
 
-    b = PiecewiseLinear((0.0, math.pi), (2.0, 1j), (1.0 + 1j, -3.0))
+    b = (PiecewiseConst((0.0, math.pi), (1.5 + 0.5j, -1.5 + 0.5j))
+         + PiecewiseConst((0.0, math.pi), (0.5 - 0.5j, -1.5 - 0.5j)) * Monomial(1))
     a = quarter_twist
     p, y = 2.5, 0.7
     nu, h = weight_functions(p, y)

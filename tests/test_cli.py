@@ -264,6 +264,40 @@ def test_analyze_overrides_are_validated_like_the_config(tmp_path, override):
     assert _analyze(tmp_path, QUARTER_CONFIG, "bad", *override) == (2, None)
 
 
+def _edited(cfg, path, value):
+    """A copy of cfg with the field at the key path set to value."""
+    changed = copy.deepcopy(cfg)
+    node = changed
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return changed
+
+
+_A_FACTORS = ("symbols", "a", "factors")
+_B_FACTORS = ("symbols", "b", "factors")
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (_edited(QUARTER_CONFIG, (*_B_FACTORS, 1, "n"), 2.5), "symbols.b.factors[1].n"),
+    (_edited(QUARTER_CONFIG, (*_B_FACTORS, 1, "n"), True), "symbols.b.factors[1].n"),
+    (_edited(QUARTER_CONFIG, (*_B_FACTORS, 1, "n"), "3"), "symbols.b.factors[1].n"),
+    (_edited(QUARTER_CONFIG, (*_A_FACTORS, 0, "re"), "abc"), "symbols.a.factors[0].re"),
+    (_edited(QUARTER_CONFIG, (*_A_FACTORS, 0, "im"), math.nan), "symbols.a.factors[0].im"),
+    (_edited(QUARTER_CONFIG, (*_A_FACTORS, 0, "im"), 10**400), "symbols.a.factors[0].im"),
+    (_edited(QUARTER_CONFIG, (*_A_FACTORS, 1, "anchor_angle"), "x"),
+     "symbols.a.factors[1].anchor_angle"),
+    (_edited(HALF_PLANE_CONFIG, ("symbols", "b", "break_angles"), [math.pi, 0.0]), "symbols.b"),
+    (_edited(HALF_PLANE_CONFIG, ("symbols", "b", "values"), [1.0]), "symbols.b"),
+    (_edited(QUARTER_CONFIG, ("tolerances",), {"winding": True}), "tolerances.winding"),
+], ids=["n-float", "n-bool", "n-string", "re-string", "im-nan", "im-huge", "anchor-string",
+        "breaks-unsorted", "values-short", "tolerance-bool"])
+def test_analyze_rejects_malformed_numbers_as_config_errors(tmp_path, capsys, cfg, where):
+    assert _analyze(tmp_path, cfg, "bad") == (2, None)
+    assert not (tmp_path / "bad-report.json").exists()
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, cfg", [("analyze_quarter", QUARTER_CONFIG),
                                        ("analyze_half_plane", HALF_PLANE_CONFIG)])
 def test_analyze_report_matches_golden_file(tmp_path, name, cfg):

@@ -18,7 +18,6 @@ from th_invert.sections import (
     idempotent_identity_residual,
     kernel_formula_eval,
     numerical_kernel,
-    projection_upper,
     th_section,
     toeplitz_matrix,
     verify_product_identities,
@@ -373,14 +372,6 @@ def test_apply_operator_matches_section():
 # ---------------------------------------------------------------------------
 # the kernel dimension formula
 # ---------------------------------------------------------------------------
-
-
-def test_projection_upper_matches_shift_identity():
-    n = 16
-    for m in (0, 1, 3):
-        direct = np.eye(n) - (toeplitz_matrix(Monomial(m), n).entries
-                              @ toeplitz_matrix(Monomial(-m), n).entries)
-        assert np.array_equal(projection_upper(m, n), direct)
 
 
 def test_kernel_formula_trivial_pair():

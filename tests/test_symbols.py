@@ -12,7 +12,9 @@ from th_invert.symbols import (
     RIGHT,
     CirclePoint,
     Const,
+    ExpArcs,
     Monomial,
+    PCSymbol,
     PiecewiseConst,
     PowerArc,
     POINT_ONE,
@@ -273,27 +275,52 @@ def test_trig_poly_quadrature_matches_analytic():
         assert abs(an - qn) < 1e-12
 
 
-def test_piecewise_linear_coefficients():
-    # closed form checked against quadrature
-    from th_invert.symbols import PiecewiseLinear
+def test_exp_arcs_limits_at_the_break_at_zero():
+    # breaks[0] = 0: the last arc runs up to 2*pi, where it meets the first
+    arcs = ExpArcs((0.0, 2.0), (1.5j, 0.5 - 1j), (0.3 + 0.2j, -1.25 + 0.1j))
+    start = 1.5j
+    end = (0.5 - 1j) * cmath.exp(1j * (-1.25 + 0.1j) * TWO_PI)
+    for theta in (0.0, -1e-13, 1e-13):  # snapped onto the break at 0 from either side
+        assert evaluate(arcs, CirclePoint(theta), RIGHT) == start
+        assert evaluate(arcs, CirclePoint(theta), LEFT) == end
+    at_two = CirclePoint(2.0)
+    assert evaluate(arcs, at_two, LEFT) == 1.5j * cmath.exp(1j * (0.3 + 0.2j) * 2.0)
+    assert evaluate(arcs, at_two, RIGHT) == (0.5 - 1j) * cmath.exp(1j * (-1.25 + 0.1j) * 2.0)
+    assert [pt.angle for pt, _, _ in jump_set(arcs)] == [0.0, 2.0]
+    reflected = sy.tilde(arcs)
+    assert evaluate(reflected, POINT_ONE, RIGHT) == pytest.approx(end, rel=1e-14)
+    assert evaluate(reflected, POINT_ONE, LEFT) == pytest.approx(start, rel=1e-14)
 
-    pl = PiecewiseLinear((0.0, math.pi), (1.0, 2.0 + 1j), (2.0 + 1j, -0.5))
-    for n in (-5, 0, 1, 4):
-        an = fourier_coefficient(pl, n, method="analytic").value
-        qn = fourier_coefficient(pl, n, method="quadrature").value
-        assert abs(an - qn) < 1e-10
+
+_SUM = sy.Sum((Const(3.0), Monomial(1)))
+EVERY_NODE_TYPE = [
+    Const(2.0 - 1j),
+    Monomial(-2),
+    PowerArc(0.3 + 0.1j, CirclePoint(1.0)),
+    PiecewiseConst((0.5, 2.5), (1.0, -1j)),
+    ExpArcs((0.0, 2.0), (1.5j, 0.5 - 1j), (0.3 + 0.2j, -1.25 + 0.1j)),
+    sy.HalfCircleExtension(PowerArc(0.25, CirclePoint(1.0))),
+    _SUM,
+    sy.Product((PowerArc(0.25), Monomial(1))),
+    sy.Inverse(_SUM),
+    sy.Conjugate(sy.Inverse(_SUM)),
+    sy.Tilde(PowerArc(0.25, CirclePoint(1.0))),
+]
 
 
-def test_piecewise_linear_values_and_one_sided_limits():
-    from th_invert.symbols import PiecewiseLinear
+def test_dispatcher_cases_cover_every_node_type():
+    assert {type(sym) for sym in EVERY_NODE_TYPE} == set(PCSymbol.__subclasses__())
 
-    pl = PiecewiseLinear((1.0, 4.0), (1.0, 2.0j), (3.0, -1.0))  # the last arc wraps
-    assert evaluate(pl, CirclePoint(4.0 + 5e-13), LEFT) == 3.0  # snapped onto the break
-    assert evaluate(pl, CirclePoint(4.0), RIGHT) == 2.0j
-    assert evaluate(pl, CirclePoint(1.0), LEFT) == -1.0
-    thetas = np.random.default_rng(4).uniform(0.0, TWO_PI, 200)
-    scalar = [evaluate(pl, CirclePoint(theta), RIGHT) for theta in thetas]
-    assert np.array_equal(sy.evaluate_array(pl, thetas), scalar)
+
+@pytest.mark.parametrize("node", EVERY_NODE_TYPE, ids=lambda sym: type(sym).__name__)
+def test_every_node_type_passes_every_dispatcher(node):
+    thetas = np.array([0.3, 1.7, 4.4])
+    for sym in (node, sy.tilde(node), sy.conjugate(node), sy.inverse(node)):
+        values = sy.evaluate_array(sym, thetas)
+        for theta, value in zip(thetas, values):
+            assert evaluate(sym, CirclePoint(theta), RIGHT) == pytest.approx(value, rel=1e-12)
+        jump_set(sym)
+        sy._exp_terms(sym)
 
 
 @st.composite
