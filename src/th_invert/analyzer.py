@@ -27,18 +27,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import (
+    EXACT,
+    SAMPLED,
     FredholmCheck,
     HardyExponent,
     IndexResult,
     _as_exponent,
+    _matrix_index,
+    _th_index,
+    _toeplitz_index,
     critical_exponents,
-    matrix_toeplitz_index,
     th_fredholm_check,
     th_index,
     toeplitz_index,
 )
 from .config import Tolerances
-from .defaults import CRITICAL_RTOL, WINDING_MIN_MODULUS
+from .defaults import CRITICAL_RTOL, GRID_N, WINDING_MIN_MODULUS, Y_GRID_N
 from .errors import (
     InconsistentRecord,
     NoFredholmNeighborhood,
@@ -268,11 +272,6 @@ class Analysis:
             self.pair.a, self._b(sign), self.p, min_modulus_tol=self.tolerances.winding,
             check=self.check(sign)))
 
-    def matrix_route(self) -> IndexResult:
-        """Index of T(U) for the triangular matrix symbol of the pair."""
-        return self._once("matrix", lambda: matrix_toeplitz_index(
-            build_u_matrix(self.pair), self.p, min_modulus_tol=self.tolerances.winding))
-
     def probe(self, symbol: PCSymbol) -> "ProbeResult":
         """lim_{s -> p+} ind T(symbol)."""
         return self._once(("probe", symbol), lambda: probe_limit_index(
@@ -295,6 +294,35 @@ class Analysis:
             th_section(self.pair.a, self.pair.b, sign, self.n_section,
                        self.tolerances.quadrature),
             self.tolerances.sv_threshold).dimension)
+
+
+class _Witnesses(Analysis):
+    """The facts of an Analysis with every index read from its sampled
+    curve alone, plus the matrix route and the exact th-symbol indices:
+    the routes that cross_check compares."""
+
+    def _sampled(self, key, index, *args):
+        return self._once(key, lambda: index(*args, GRID_N, Y_GRID_N,
+                                             self.tolerances.winding, SAMPLED))
+
+    def toeplitz(self, symbol: PCSymbol) -> IndexResult:
+        return self._sampled(("toeplitz", symbol), _toeplitz_index, symbol, self.p)
+
+    def _th(self, sign: int, route: str) -> Optional[int]:
+        return self._once((route, sign), lambda: _th_index(
+            self.pair.a, self._b(sign), self.p, GRID_N, Y_GRID_N, self.tolerances.winding,
+            self.check(sign), route))
+
+    def th_index(self, sign: int) -> int:
+        return self._th(sign, SAMPLED)
+
+    def exact_th_index(self, sign: int) -> Optional[int]:
+        """Index of T(a) + sign * H(b) in closed form; None when it does not decide."""
+        return self._th(sign, EXACT)
+
+    def matrix_route(self) -> IndexResult:
+        """Index of T(U) for the triangular matrix symbol of the pair."""
+        return self._sampled("matrix", _matrix_index, build_u_matrix(self.pair), self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +628,7 @@ class ConsistencyReport:
     section_kernel_dims: Optional[tuple]
     report_kernel_dims: Optional[tuple]
     discrepancies: list
+    exact_route: Optional[int] = None
 
     @property
     def consistent(self) -> bool:
@@ -608,15 +637,18 @@ class ConsistencyReport:
 
 def cross_check(pair: MatchingPair, p, n_section: int = 256,
                 with_sections: bool = True) -> ConsistencyReport:
-    """Three independent index routes plus a finite-section kernel count.
+    """Four index routes plus a finite-section kernel count.
 
-    (i) ind T(c) + ind T(d); (ii) minus the winding of the determinant of
-    the arc-completed matrix symbol U(a, b); (iii) th-symbol indices of the
-    two operators.  Discrepancies are itemized, never silently dropped.
-    ``with_sections=False`` skips the classification and section kernels
-    and compares only the index routes.
+    Three independent sampled routes: (i) ind T(c) + ind T(d); (ii) minus
+    the winding of the determinant of the arc-completed matrix symbol
+    U(a, b); (iii) th-symbol indices of the two operators, each from its
+    sampled curve alone.  The fourth, ``exact_route``, is the sum of the
+    two th-symbol indices in closed form (:func:`calculus.exact_index`),
+    None when the closed form does not decide.  Discrepancies are itemized,
+    never silently dropped.  ``with_sections=False`` skips the
+    classification and section kernels and compares only the index routes.
     """
-    an = Analysis(pair, p, n_section=n_section)
+    an = _Witnesses(pair, p, n_section=n_section)
     discrepancies: list[str] = []
 
     sub_sum = None if an.kappas is None else sum(an.kappas)
@@ -640,6 +672,19 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
             f"index routes disagree: subordinated {sub_sum}, matrix {matrix_route}, "
             f"th-symbol {th_route}")
 
+    exact_route = None
+    try:
+        exact = [an.exact_th_index(sign) for sign, _ in SIGNS]
+        exact_route = None if None in exact else sum(exact)
+    except NotFredholm as exc:
+        if th_route is not None:
+            discrepancies.append(f"exact route finds no index where the th-symbol route "
+                                 f"gives {th_route}: {exc}")
+    if exact_route is not None and routes - {exact_route}:
+        discrepancies.append(
+            f"exact route {exact_route} disagrees with the sampled routes "
+            f"{sorted(routes)}")
+
     section_dims = None
     report_dims = None
     if sub_sum is not None and with_sections:
@@ -658,4 +703,4 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
                 f"report's {report_dims} (sections only see fast-decaying kernels)")
 
     return ConsistencyReport(an.p.p, sub_sum, matrix_route, th_route,
-                             section_dims, report_dims, discrepancies)
+                             section_dims, report_dims, discrepancies, exact_route)

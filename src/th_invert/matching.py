@@ -14,7 +14,7 @@ constant i); the reports record its constant value when it is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -48,7 +48,7 @@ class MatchingPair:
 
 def _reciprocal(v):
     """1/v, refused below the invertibility tolerance as for an inverted symbol."""
-    smallest = np.min(np.abs(v), initial=np.inf)
+    smallest = abs(v) if np.isscalar(v) else np.min(np.abs(v), initial=np.inf)
     if smallest < INVERTIBILITY_TOL:
         raise DivisionBySmallModulus(f"modulus {smallest:.3e} below {INVERTIBILITY_TOL:.1e}")
     return 1.0 / v
@@ -69,6 +69,7 @@ class MatrixSymbol:
     a: PCSymbol
     b: PCSymbol
     general: bool
+    _one_sided: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __getitem__(self, idx) -> PCSymbol:
         """Entry (i, j) as a symbol tree: the reference for the value formulas."""
@@ -109,14 +110,27 @@ class MatrixSymbol:
 
     def one_sided(self) -> dict:
         """{angle: (U(t-0), U(t+0))} at every jump angle, from the jump sets of
-        a and b; a function is evaluated only at angles where it does not jump."""
+        a and b; a function is evaluated only at angles where it does not jump.
+        Computed once per instance and shared by every route that reads it."""
+        if self._one_sided is None:
+            object.__setattr__(self, "_one_sided", self._one_sided_matrices())
+        return self._one_sided
+
+    def _one_sided_matrices(self) -> dict:
         jumps = {id(f): sym.jump_set(f) for f in (self.a, self.b)}
+        breaks = {id(f): sym._jump_candidates(f) | {0.0} for f in (self.a, self.b)}
+        snap = 10 * sym.ANGLE_SNAP
 
         def sides(f, angle):
             for pt, left, right in jumps[id(f)]:
-                if abs(math.remainder(pt.angle - angle, TWO_PI)) <= 10 * sym.ANGLE_SNAP:
+                if abs(math.remainder(pt.angle - angle, TWO_PI)) <= snap:
                     return left, right
-            return sym.evaluate_sides(f, angle)
+            if any(abs(math.remainder(x - angle, TWO_PI)) <= snap for x in breaks[id(f)]):
+                return sym.evaluate_sides(f, angle)
+            # away from every break of f both one-sided evaluations take the
+            # same path, so one of them gives both values
+            value = sym.evaluate(f, angle)
+            return value, value
 
         return {angle: self._sides(angle, sides) for angle in self.jump_angles()}
 

@@ -850,6 +850,8 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
             return None
         if isinstance(sym, Sum):
             return _merged(itertools.chain.from_iterable(parts))
+        if all(len(p) == 1 for p in parts):  # one pass over the common arcs
+            return (_multiply([p[0] for p in parts]),)
         terms = parts[0]
         for part in parts[1:]:
             terms = _merged(_multiply(combo) for combo in itertools.product(terms, part))

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from th_invert import analyzer, symbols as sy
+from th_invert import analyzer, calculus, symbols as sy
 from th_invert.analyzer import (
     MINUS_KEY,
     PLUS_KEY,
@@ -17,8 +19,9 @@ from th_invert.analyzer import (
 )
 from th_invert.calculus import toeplitz_index
 from th_invert.catalog import quarter_twist, quarter_twist_pair
-from th_invert.errors import InconsistentRecord, NoFredholmNeighborhood, NotFredholmAtP
-from th_invert.matching import make_matching_pair
+from th_invert.errors import (InconsistentRecord, NoFredholmNeighborhood, NotFredholmAtP,
+                              THInvertError)
+from th_invert.matching import MatrixSymbol, make_matching_pair
 from th_invert.sampling import random_matching_pair
 from th_invert.symbols import Const, Monomial, PowerArc
 
@@ -332,3 +335,93 @@ def test_inconsistent_record_raises():
     rec = OperatorRecord(True, index=1, kernel_dim=0, cokernel_dim=0)
     with pytest.raises(InconsistentRecord):
         rec.finalize()
+
+
+def test_cross_check_reads_each_matrix_symbol_once(monkeypatch, quarter_pair):
+    # U of the matrix route and U1 of each sign: every route that reads the
+    # one-sided matrices of a matrix symbol shares one computation
+    reads, computed = {}, {}
+    one_sided, matrices = MatrixSymbol.one_sided, MatrixSymbol._one_sided_matrices
+
+    def counting(counts, fn):
+        def wrapper(self):
+            counts[id(self)] = counts.get(id(self), 0) + 1
+            return fn(self)
+        return wrapper
+
+    calculus._th_parts.cache_clear()  # U1 of both signs are built afresh
+    monkeypatch.setattr(MatrixSymbol, "one_sided", counting(reads, one_sided))
+    monkeypatch.setattr(MatrixSymbol, "_one_sided_matrices", counting(computed, matrices))
+    cc = cross_check(quarter_pair, 3.0, with_sections=False)
+    assert cc.consistent and cc.exact_route == cc.th_route == -1
+    assert len(computed) == 3 and set(computed.values()) == {1}
+    assert reads.keys() == computed.keys() and sum(reads.values()) > len(reads)
+
+
+def test_cross_check_itemizes_a_disagreeing_exact_route(monkeypatch, quarter_pair):
+    monkeypatch.setattr(analyzer._Witnesses, "exact_th_index", lambda self, sign: 0)
+    cc = cross_check(quarter_pair, 3.0, with_sections=False)
+    assert cc.subordinated_sum == cc.matrix_route == cc.th_route == -1
+    assert cc.exact_route == 0
+    assert cc.discrepancies == ["exact route 0 disagrees with the sampled routes [-1]"]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of classify
+# ---------------------------------------------------------------------------
+
+
+def _outcome(pair, p):
+    """classify's report, or the name of its refusal."""
+    try:
+        return classify(pair, p, n_section=64, formula_section=128)
+    except THInvertError as exc:
+        return type(exc).__name__
+
+
+def _records(rep):
+    return {key: (r.fredholm, r.index, r.kernel_dim, r.cokernel_dim, r.classification)
+            for key, r in rep.operators.items()}
+
+
+random_pairs = st.builds(lambda seed: random_matching_pair(np.random.default_rng(seed)),
+                         st.integers(0, 2 ** 32 - 1))
+exponents = st.sampled_from([1.3, 1.7, 2.5, 3.5])
+
+
+@given(random_pairs, exponents)
+@settings(max_examples=12, deadline=None)
+def test_negating_b_swaps_the_operator_records(pair, p):
+    # c and d only change sign, and T(a) - H(-b) = T(a) + H(b)
+    rep, flipped = _outcome(pair, p), _outcome(make_matching_pair(pair.a, -pair.b), p)
+    if isinstance(rep, str):
+        assert flipped == rep
+        return
+    ops, flipped_ops = _records(rep), _records(flipped)
+    assert flipped_ops[PLUS_KEY] == ops[MINUS_KEY] and flipped_ops[MINUS_KEY] == ops[PLUS_KEY]
+    assert (flipped.kappa1, flipped.kappa2) == (rep.kappa1, rep.kappa2)
+
+
+@given(random_pairs, exponents, st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
+@settings(max_examples=12, deadline=None)
+def test_scaling_the_pair_changes_no_verdict(pair, p, modulus, phase):
+    # T(la) + H(lb) = l (T(a) + H(b)), and c, d are unchanged
+    lam = cmath.rect(modulus, phase)
+    rep = _outcome(pair, p)
+    scaled = _outcome(make_matching_pair(lam * pair.a, lam * pair.b), p)
+    if isinstance(rep, str):
+        assert scaled == rep
+        return
+    assert _records(scaled) == _records(rep)
+    assert (scaled.kappa1, scaled.kappa2, scaled.classification) == (
+        rep.kappa1, rep.kappa2, rep.classification)
+
+
+@given(random_pairs, exponents)
+@settings(max_examples=12, deadline=None)
+def test_index_sum_rule(pair, p):
+    rep = _outcome(pair, p)
+    if isinstance(rep, str) or rep.kappa1 is None:
+        return
+    plus, minus = rep.operators[PLUS_KEY].index, rep.operators[MINUS_KEY].index
+    assert plus + minus == rep.kappa1 + rep.kappa2

@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.calculus import (
+    EXACT,
+    SAMPLED,
     HardyExponent,
+    _flip_arc,
+    _matrix_arc,
+    _matrix_index,
+    _scalar_arc,
+    _th_index,
+    _toeplitz_index,
     arc,
     critical_exponents,
+    exact_index,
     matrix_toeplitz_index,
     split_generating_pair,
     th_fredholm_check,
@@ -242,8 +251,10 @@ def test_critical_exponents_match_the_winding(sym):
     assume(all(b > a * (1 + 1e-2) for a, b in zip(edges, edges[1:])))
 
     def index(s):
-        res = toeplitz_index(sym, s)
-        assert res.fredholm, s
+        # the closed form decides, and the sampled curve agrees with it
+        res = _toeplitz_index(sym, s, 1024, 257, 1e-7, EXACT)
+        assert res is not None and res.fredholm, s
+        assert res.index == _toeplitz_index(sym, s, 1024, 257, 1e-7, SAMPLED).index, s
         return res.index
 
     for a, b in zip(edges, edges[1:]):  # constant between critical exponents
@@ -251,6 +262,9 @@ def test_critical_exponents_match_the_winding(sym):
     for s in distinct:  # one step down per jump that degenerates at s
         shared = sum(1 for x in crit if abs(x - s) <= 1e-9 * s)
         assert index(s * (1 - 1e-3)) - index(s * (1 + 1e-3)) == shared
+        for near in (s * (1 - 1e-12), s * (1 + 1e-12)):  # both routes see the degeneracy
+            assert not _toeplitz_index(sym, near, 1024, 257, 1e-7, EXACT).fredholm
+            assert not _toeplitz_index(sym, near, 1024, 257, 1e-7, SAMPLED).fredholm
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +397,6 @@ def small_laurent_polynomials(draw):
 @settings(max_examples=25, deadline=None)
 def test_th_index_ignores_continuous_changes_of_b(a, b, c, p):
     # H(c) is compact and b + c has the jumps of b, so the index is the same.
-    # The check samples a fixed y grid and can pass a symbol through the
-    # origin (a step from 1 to -2 at p = 2); th_index refuses both alike.
     assume(th_fredholm_check(a, b, p).min_modulus > 1e-3)
 
     def index(b_):
@@ -484,3 +496,117 @@ def test_hankel_contribution_reduces_to_scalar_form(quarter_twist):
         assert th_symbol(a, b, p, t, y) == pytest.approx(manual)
     interior = th_symbol(a, b, p, CirclePoint(1.2), y)
     assert abs(interior[0, 1]) < 1e-14 and abs(interior[1, 0]) < 1e-14
+
+
+def test_fredholm_check_finds_a_zero_between_samples():
+    # at p = 2 the arc at each jump of a is the segment from 1 to -2, which
+    # crosses the origin between two samples of the fixed y grid
+    check = th_fredholm_check(PiecewiseConst((1.0, 2.0), (1, -2)), Const(1.0), 2.0)
+    assert not check.fredholm
+    assert check.min_modulus <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# exact windings
+# ---------------------------------------------------------------------------
+
+
+def _crowded_jumps(*syms) -> bool:
+    """Two jump candidates of the symbols or of their reflections closer
+    than 1e-10 but apart: jump_set merges such angles and can drop a jump,
+    and then the closed form, which sees the jump in the term, declines."""
+    angles = {0.0, math.pi}
+    for s in syms:
+        angles |= sy._jump_candidates(s)
+    angles = sorted(angles | {(TWO_PI - x) % TWO_PI for x in angles})
+    gaps = np.diff(angles + [angles[0] + TWO_PI])
+    return bool(np.any((gaps > 0) & (gaps <= 1e-10)))
+
+
+def _curve_agrees(exact, curve):
+    """The closed form decided as the curve did, with a lower modulus bound."""
+    assert exact is not None
+    assert (exact.fredholm, exact.index) == (curve.fredholm, curve.index)
+    assert exact.min_modulus <= curve.min_modulus * (1 + 1e-9)
+
+
+@given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
+@settings(max_examples=60, deadline=None)
+def test_exact_toeplitz_index_matches_the_curve(f, g, p):
+    a = sy.product(f, g)  # one exp-linear term
+    assume(all(abs(s - p) > 0.02 * p for s in critical_exponents(a)))
+    exact = _toeplitz_index(a, p, 1024, 257, 1e-7, EXACT)
+    if not (exact is None and _crowded_jumps(a)):
+        _curve_agrees(exact, _toeplitz_index(a, p, 1024, 257, 1e-7, SAMPLED))
+
+
+@given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_matrix_index_matches_the_curve(a, b, p):
+    from th_invert.matching import build_u_matrix_general
+
+    u = build_u_matrix_general(a, b)
+    exact = _matrix_index(u, p, 1024, 257, 1e-7, EXACT)
+    if exact is None and _crowded_jumps(a, b):
+        return
+    curve = _matrix_index(u, p, 1024, 257, 1e-7, SAMPLED)
+    assume(curve.min_modulus > 1e-3)  # away from the exponents where an arc degenerates
+    _curve_agrees(exact, curve)
+
+
+@given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_th_index_matches_the_curves(a, b, p):
+    # the +-1 branch of the T+H symbol and the determinant of U1
+    check = th_fredholm_check(a, b, p)
+    assume(check.min_modulus > 1e-3)
+
+    def index(route):
+        try:
+            return _th_index(a, b, p, 1024, 257, 1e-7, check, route)
+        except NotFredholm:
+            return "not Fredholm"
+
+    exact = index(EXACT)
+    if not (exact is None and _crowded_jumps(a, b)):
+        assert exact == index(SAMPLED)
+
+
+def _curve_near_origin(kind, gap):
+    """(jumps, stretch, arc kind) of a curve at p = 2 whose smallest modulus is gap."""
+    if kind == "flip":
+        # (s^2 + k s - 1)/(s^2 - 1) on the ray s = i t, t > 0, with k = -2i (1 - gap),
+        # is (t^2 - 2 (1 - gap) t + 1)/(t^2 + 1), gap at t = 1
+        k = -2j * (1.0 - gap)
+        return {0.0: (1.0, 1.0, 0.0, k), math.pi: (1.0, 1.0, 0.0, 0.0)}, Const(1.0), _flip_arc
+    # the segment from 1 to w passes the origin at distance |Im w|/3
+    w = -2.0 + 3j * gap
+    stretch = PiecewiseConst((0.0, math.pi), (1.0, w))
+    if kind == "scalar":
+        return {0.0: (w, 1.0), math.pi: (1.0, w)}, stretch, _scalar_arc
+    one, step = np.eye(2, dtype=complex), np.diag([w, 1.0])
+    return {0.0: (step, one), math.pi: (one, step)}, stretch, _matrix_arc
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "flip"])
+def test_exact_index_decides_only_outside_the_grey_band(kind):
+    # the tolerance is 1e-7: above it the closed form says Fredholm, at
+    # most 1e-9 from the origin it says not Fredholm, in between the curve decides
+    def exact(gap):
+        jumps, stretch, arc_kind = _curve_near_origin(kind, gap)
+        return exact_index(jumps, sy._exp_pieces(stretch), arc_kind, 2.0, 1e-7)
+
+    res = exact(1e-5)
+    assert res.fredholm and res.index == 0 and 1e-7 < res.min_modulus <= 1e-5 * (1 + 1e-6)
+    for gap in (3e-9, 3e-8, 1e-7):
+        assert exact(gap) is None
+    for gap in (1e-9, 1e-12):
+        res = exact(gap)
+        assert not res.fredholm and res.min_modulus <= 1e-9
+
+
+def test_grey_band_toeplitz_index_falls_back_to_the_curve():
+    a = PiecewiseConst((0.0, math.pi), (1.0, -2.0 + 9e-8j))
+    assert _toeplitz_index(a, 2.0, 1024, 257, 1e-7, EXACT) is None
+    res = toeplitz_index(a, 2.0)
+    assert not res.fredholm and res.min_modulus <= 1e-7
