@@ -121,6 +121,15 @@ def _y_axis(m: int) -> np.ndarray:
     return np.concatenate([[-np.inf], y_grid(m), [np.inf]])
 
 
+@lru_cache(maxsize=32)
+def _base_weights(p: float, m_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """weight_functions(p, _y_axis(m_y)), the same for every arc of every curve;
+    read-only, as they are shared."""
+    nus, hs = weight_functions(p, _y_axis(m_y))
+    nus.flags.writeable = hs.flags.writeable = False
+    return nus, hs
+
+
 def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
     """The oriented arc {u*(1 - nu_p(y)) + w*nu_p(y)} from u to w.
 
@@ -210,7 +219,8 @@ def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
 def _assemble_closed_curve(
     sides: dict,
     cont_values: Callable[[np.ndarray], np.ndarray],
-    arc_values: Callable[[float, np.ndarray], np.ndarray],
+    arc_values: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+    p,
     n_t: int,
     m_y: int,
 ) -> SymbolCurve:
@@ -221,10 +231,13 @@ def _assemble_closed_curve(
     when there is none) and is explicitly closed by repeating its first
     point.  Every segment is refined adaptively near the origin, so close
     approaches are resolved regardless of the base grids.  Arcs are
-    parametrized by u = tanh(y) in [-1, 1]; ``arc_values(angle, ys)`` gets
-    the y values.
+    parametrized by u = tanh(y) in [-1, 1]; ``arc_values(angle, nu, h)``
+    gets the weights nu_p(y), h_p(y), taken from :func:`_base_weights` on
+    the base grid and evaluated afresh only at the inserted midpoints.
     """
+    pe = _as_exponent(p).p
     us0 = np.tanh(_y_axis(m_y))
+    weights0 = _base_weights(pe, m_y)
     pieces: list[np.ndarray] = []
     seg_ids: list[np.ndarray] = []
     params: list[np.ndarray] = []
@@ -237,7 +250,7 @@ def _assemble_closed_curve(
     def arc_evaluator(theta):
         def ev(us):
             with np.errstate(divide="ignore"):
-                return arc_values(theta, np.arctanh(us))
+                return arc_values(theta, *weight_functions(pe, np.arctanh(us)))
 
         return ev
 
@@ -266,7 +279,7 @@ def _assemble_closed_curve(
             par, vals = _adaptive_polyline(par, vals, stretch_evaluator)
             emit(par, vals)
             ev = arc_evaluator(theta_next)
-            apar, avals = _adaptive_polyline(us0, ev(us0), ev)
+            apar, avals = _adaptive_polyline(us0, arc_values(theta_next, *weights0), ev)
             emit(apar, avals)
 
     values = np.concatenate(pieces)
@@ -549,18 +562,18 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
 
     # the term's breaks, with those closer than the angle snap joined, as
     # [first angle, last angle, value before, value after]
-    snap = 10 * sy.ANGLE_SNAP
+    snap = sy.ANGLE_SNAP
     events = []
     for j, angle in enumerate(breaks[:-1]):
-        if events and angle - events[-1][1] <= snap:
+        if events and angle - events[-1][1] < snap:
             events[-1][1], events[-1][3] = angle, starts[j]
         else:
             events.append([angle, angle, ends[j - 1], starts[j]])
-    if len(events) > 1 and TWO_PI - events[-1][1] <= snap:  # wraps onto break 0
+    if len(events) > 1 and TWO_PI - events[-1][1] < snap:  # wraps onto break 0
         events[0][2] = events.pop()[2]
 
     def near(x, y):
-        return abs(math.remainder(x - y, TWO_PI)) <= snap
+        return abs(math.remainder(x - y, TWO_PI)) < snap
 
     glue = []  # principal steps where the curve passes from one value to the next
     total = sum(lj.real * (b1 - b0) for lj, b0, b1 in zip(lam, breaks, breaks[1:]))
@@ -607,13 +620,12 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
     """
     sides = {pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)}
 
-    def arc_vals(theta, ys):
+    def arc_vals(theta, nus, _):
         lv, rv = sides[theta]
-        nus, _ = weight_functions(p, ys)
         return lv * (1.0 - nus) + rv * nus
 
     return _assemble_closed_curve(sides, lambda thetas: evaluate_array(a, thetas), arc_vals,
-                                  n_t, m_y)
+                                  p, n_t, m_y)
 
 
 def _toeplitz_index(a: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
@@ -668,13 +680,12 @@ def matrix_symbol_curve(u: MatrixSymbol, p, n_t: int = GRID_N,
     """
     matrices = u.one_sided()
 
-    def arc_vals(theta, ys):
-        nus, _ = weight_functions(p, ys)
+    def arc_vals(theta, nus, _):
         ml, mr = matrices[theta]
         return _det((1.0 - nus) * ml[..., None] + nus * mr[..., None])
 
     sides = {theta: (_det(ml), _det(mr)) for theta, (ml, mr) in matrices.items()}
-    return _assemble_closed_curve(sides, u.determinant, arc_vals, n_t, m_y)
+    return _assemble_closed_curve(sides, u.determinant, arc_vals, p, n_t, m_y)
 
 
 def _matrix_index(u: MatrixSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
@@ -716,7 +727,7 @@ def th_symbol(a: PCSymbol, b: PCSymbol, p, t, y):
     theta = (t if isinstance(t, CirclePoint) else CirclePoint(t)).angle
     if theta > math.pi:
         raise OutOfDomain("the symbol lives on the closed upper half-circle")
-    return _th_symbol_from(_th_sides(a, b, theta), theta, p, y)
+    return _th_symbol_from(_th_sides(a, b, theta), theta, *weight_functions(p, y))
 
 
 def _th_sides(a: PCSymbol, b: PCSymbol, theta: float) -> tuple:
@@ -728,9 +739,9 @@ def _th_sides(a: PCSymbol, b: PCSymbol, theta: float) -> tuple:
     return sides + (*evaluate_sides(a, TWO_PI - theta), *evaluate_sides(b, TWO_PI - theta))
 
 
-def _th_symbol_from(sides: tuple, theta: float, p, y):
-    """th_symbol at theta from its one-sided values ``_th_sides``."""
-    nu, h = weight_functions(p, y)
+def _th_symbol_from(sides: tuple, theta: float, nu, h):
+    """th_symbol at theta from its one-sided values ``_th_sides`` and the
+    weights nu = nu_p(y), h = h_p(y)."""
     al, ar, bl, br = sides[:4]
     top = ar * nu + al * (1.0 - nu)
     if theta in (0.0, math.pi):
@@ -789,6 +800,7 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> FredholmCheck:
     """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle."""
     ys = _y_axis(m_y)
+    weights = _base_weights(_as_exponent(p).p, m_y)
     jumps = {pt.angle for pt, _, _ in jump_set(a)} | {pt.angle for pt, _, _ in jump_set(b)}
     special = sy.dedupe_angles(
         {th for th in jumps if 0.0 < th < math.pi}
@@ -821,11 +833,12 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
     for th in [*special, 0.0, math.pi]:
         sides = _th_sides(a, b, th)
 
-        def sweep(y, th=th, sides=sides):
-            m = _th_symbol_from(sides, th, p, y)
+        def at(nu, h, th=th, sides=sides):
+            m = _th_symbol_from(sides, th, nu, h)
             return m if m.ndim == 1 else _det(m)
 
-        y_min, v_min = _zoomed_minimum(sweep, ys, sweep(ys), min_modulus_tol)
+        y_min, v_min = _zoomed_minimum(lambda y: at(*weight_functions(p, y)), ys, at(*weights),
+                                       min_modulus_tol)
         consider(v_min, th, y_min)
 
     min_mod, witness = best
@@ -885,10 +898,11 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
     """
     if any(pt.angle not in (0.0, math.pi) for pt, _, _ in jump_set(g)):
         raise PreconditionViolation("g must be continuous off +-1")
-
-    return _assemble_closed_curve({theta: evaluate_sides(g, theta) for theta in (0.0, math.pi)},
+    table = {theta: _th_sides(g, b0, theta) for theta in (0.0, math.pi)}
+    return _assemble_closed_curve({theta: sides[:2] for theta, sides in table.items()},
                                   lambda thetas: evaluate_array(g, thetas),
-                                  lambda theta, ys: th_symbol(g, b0, p, theta, ys), n_t, m_y)
+                                  lambda theta, nu, h: _th_symbol_from(table[theta], theta, nu, h),
+                                  p, n_t, m_y)
 
 
 @lru_cache(maxsize=64)

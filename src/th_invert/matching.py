@@ -19,10 +19,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .defaults import GRID_N, INVERTIBILITY_TOL, MATCHING_TOL
+from .defaults import GRID_N, INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
 from .errors import DivisionBySmallModulus, NotInvertible
 from . import symbols as sym
-from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, Const, PCSymbol, check_invertible,
+from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, PCSymbol, check_invertible,
                       evaluate_array, evaluate_both_sides, grid_angles)
 
 
@@ -61,24 +61,14 @@ class MatrixSymbol:
     With a, b, ~a, ~b the one-sided values of a(t), b(t), a(1/t), b(1/t),
     the general matrix is [[a - b*~b/~a, -b/~a], [~b/~a, 1/~a]] and the
     triangular one of a matching pair is [[0, -b/~a], [a/b, 1/~a]], that is
-    [[0, -d], [c, (~a)^-1]]; both have determinant a/~a.  If the entries are
-    continuous at t, so are ~a, then b, a and ~b (~b = a*~a/b for a matching
-    pair): U jumps only where a or b jumps, at t or at 1/t.
+    [[0, -d], [c, (~a)^-1]]; both have determinant a/~a.  So U can jump
+    only at the breaks of a and b and their reflections.
     """
 
     a: PCSymbol
     b: PCSymbol
     general: bool
     _one_sided: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-
-    def __getitem__(self, idx) -> PCSymbol:
-        """Entry (i, j) as a symbol tree: the reference for the value formulas."""
-        a, b, ta_inv, tb = self.a, self.b, sym.inverse(sym.tilde(self.a)), sym.tilde(self.b)
-        if self.general:
-            rows = ((a - b * tb * ta_inv, -(b * ta_inv)), (tb * ta_inv, ta_inv))
-        else:
-            rows = ((Const(0.0), -sym.product(b, ta_inv)), (sym.product(a, sym.inverse(b)), ta_inv))
-        return rows[idx[0]][idx[1]]
 
     def _matrix(self, a, b, ta, tb) -> np.ndarray:
         ta_inv = _reciprocal(ta)
@@ -104,35 +94,45 @@ class MatrixSymbol:
             evaluate_array(self.a, np.mod(-thetas, TWO_PI)))
 
     def jump_angles(self) -> list[float]:
-        """The jump angles of a and b and their reflections."""
-        angles = {pt.angle for f in (self.a, self.b) for pt, _, _ in sym.jump_set(f)}
-        return sym.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles})
+        """The angles where some entry of U jumps, sorted."""
+        return list(self.one_sided())
 
     def one_sided(self) -> dict:
-        """{angle: (U(t-0), U(t+0))} at every jump angle, from the jump sets of
-        a and b; a function is evaluated only at angles where it does not jump.
-        Computed once per instance and shared by every route that reads it."""
+        """{angle: (U(t-0), U(t+0))} at every angle where some entry of U jumps
+        by more than JUMP_TOL.  Computed once per instance and shared by
+        every route that reads it."""
         if self._one_sided is None:
             object.__setattr__(self, "_one_sided", self._one_sided_matrices())
         return self._one_sided
 
     def _one_sided_matrices(self) -> dict:
-        jumps = {id(f): sym.jump_set(f) for f in (self.a, self.b)}
-        breaks = {id(f): sym._jump_candidates(f) | {0.0} for f in (self.a, self.b)}
-        snap = 10 * sym.ANGLE_SNAP
+        """The one-sided matrices at every break of a and b and its reflection,
+        kept where an entry jumps: an entry can jump more than a or b does.
+        A function is evaluated on both sides only at its own breaks."""
+        tables = {id(f): sym._one_sided_at_breaks(f) for f in (self.a, self.b)}
+        breaks = {id(f): sym._breaks(f) for f in (self.a, self.b)}
+
+        def near(x, angle):
+            return abs(math.remainder(x - angle, TWO_PI)) < sym.ANGLE_SNAP
 
         def sides(f, angle):
-            for pt, left, right in jumps[id(f)]:
-                if abs(math.remainder(pt.angle - angle, TWO_PI)) <= snap:
+            for x, left, right in tables[id(f)]:
+                if near(x, angle):
                     return left, right
-            if any(abs(math.remainder(x - angle, TWO_PI)) <= snap for x in breaks[id(f)]):
+            if any(near(x, angle) for x in breaks[id(f)]):  # a break merged into another
                 return sym.evaluate_sides(f, angle)
             # away from every break of f both one-sided evaluations take the
             # same path, so one of them gives both values
             value = sym.evaluate(f, angle)
             return value, value
 
-        return {angle: self._sides(angle, sides) for angle in self.jump_angles()}
+        angles = {x for table in tables.values() for x, _, _ in table}
+        table = {}
+        for angle in sym.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles}):
+            left, right = self._sides(angle, sides)
+            if np.max(np.abs(left - right)) > JUMP_TOL:
+                table[angle] = (left, right)
+        return table
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,19 @@ primitives (constants, monomials t^n, rotated power functions, piecewise
 constants, half-circle extensions, and the internal exp-linear arcs
 ``ExpArcs`` of the index splitting) and closed under sum, product,
 inversion, complex conjugation and the substitution t -> 1/t (written
-``~a`` below and called the tilde).  Every node supports
+``~a`` below and called the tilde).
 
-* exact one-sided evaluation ``a(t+0)`` / ``a(t-0)`` at any circle point,
-  where ``t+0`` is the limit along the counterclockwise-forward side;
-* enumeration of its jump points;
-* Fourier coefficients in closed form wherever the symbol has one, and by
-  adaptive quadrature split at the jump points otherwise.
-
-Closed forms come from one place.  Every sum, product, tilde and conjugate
-of constants, monomials, power arcs, piecewise constants, exp-linear arcs,
-and of inverses and half-circle extensions of single terms, is a sum of
-piecewise exp-linear terms, each c_j * exp(i lam_j theta) on the arcs
-between its breaks (:func:`_exp_terms`).  Its coefficients are sums of one
-closed-form integral per arc, exactly c or 0 for a term c * t^k, and a
-finite Laurent polynomial is a sum of such terms.  Quadrature is left to
-inverses of sums such as ``1/(3 + t)`` and to every symbol built on them.
+Every sum, product, tilde and conjugate of the primitives, and of inverses
+and half-circle extensions of single terms, is a sum of piecewise
+exp-linear terms, each c_j * exp(i lam_j theta) on the arcs between its
+breaks (:func:`_exp_terms`).  The terms give vectorized evaluation, one
+lookup per term, and Fourier coefficients in closed form, one integral per
+arc (exactly c or 0 for a term c * t^k).  Inverses of sums such as
+``1/(3 + t)``, and what is built on them, are evaluated node by node and
+take their coefficients by adaptive quadrature split at the breaks.  The
+one-sided limits ``a(t+0)`` / ``a(t-0)``, ``t+0`` the limit along the
+counterclockwise-forward side, come from the tree, and the jumps are read
+at the breaks, where alone a symbol can jump.
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
@@ -55,7 +52,9 @@ LEFT = "left"
 RIGHT = "right"
 
 # Reflected angles (2*pi - theta) do not round-trip bit-exactly, so one-sided
-# evaluation snaps angles within this distance onto structural jump points.
+# evaluation snaps angles less than this from a break onto the break, and
+# jump tables merge candidate angles less than this apart (dedupe_angles):
+# one rule, so that every jump a table drops is seen where it keeps one.
 ANGLE_SNAP = 1e-12
 
 
@@ -556,31 +555,30 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
     """Vectorized evaluation at generic (non-jump) angles.
 
     At an exact jump angle this returns the forward-side value; callers that
-    care about one-sided limits use :func:`evaluate`.
+    care about one-sided limits use :func:`evaluate`.  A symbol with terms
+    (:func:`_exp_terms`) is evaluated from them, one lookup per term; the
+    tree is walked only down to the nodes that have terms, below an inverse
+    of a sum or where an inverse comes too close to 0 on an arc.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if isinstance(sym, Const):
-        return np.full(thetas.shape, sym.value, dtype=complex)
-    if isinstance(sym, Monomial):
-        return np.exp(1j * sym.n * thetas)
-    if isinstance(sym, PowerArc):
-        zeta = np.mod(thetas - sym.anchor.angle, TWO_PI)
-        return np.exp(1j * sym.beta * (zeta - math.pi))
-    if isinstance(sym, PiecewiseConst):
-        idx = _piece_indices(sym.breaks, thetas)
-        return np.asarray(sym.values, dtype=complex)[idx]
-    if isinstance(sym, ExpArcs):
+    try:  # the terms check inverses at INVERTIBILITY_TOL; another tol takes the tree
+        terms = _exp_terms(sym) if tol == INVERTIBILITY_TOL else None
+    except DivisionBySmallModulus:  # the tree refuses only the values asked for
+        terms = None
+    if terms is not None:
         thetas = np.mod(thetas, TWO_PI)
-        c, lam = _pieces_at(_exp_pieces(sym), thetas)
-        return c * np.exp(1j * lam * thetas)
-    if isinstance(sym, HalfCircleExtension):
-        upper = (thetas <= math.pi)
-        out = np.empty(thetas.shape, dtype=complex)
-        out[upper] = evaluate_array(sym.g0, thetas[upper], tol)
-        low = evaluate_array(sym.g0, np.mod(TWO_PI - thetas[~upper], TWO_PI), tol)
-        if low.size and np.min(np.abs(low)) < tol:
+        out = None
+        for p in terms:
+            c, lam = _pieces_at(p, thetas)
+            value = c * np.exp(1j * lam * thetas)
+            out = value if out is None else out + value
+        return out
+    if isinstance(sym, HalfCircleExtension):  # 1/g0(conj t) on the lower half
+        lower = thetas > math.pi
+        out = evaluate_array(sym.g0, np.where(lower, np.mod(TWO_PI - thetas, TWO_PI), thetas), tol)
+        if np.any(lower) and np.min(np.abs(out[lower])) < tol:
             raise DivisionBySmallModulus("half-circle extension hit a small modulus")
-        out[~upper] = 1.0 / low
+        out[lower] = 1.0 / out[lower]
         return out
     if isinstance(sym, Sum):
         return np.sum([evaluate_array(t_, thetas, tol) for t_ in sym.terms], axis=0)
@@ -601,61 +599,60 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
-def _piece_indices(breaks, thetas: np.ndarray) -> np.ndarray:
-    angles = np.array([b.angle for b in breaks])
-    idx = np.searchsorted(angles, thetas, side="right") - 1
-    return np.mod(idx, len(breaks))
-
-
 # ---------------------------------------------------------------------------
 # jumps and grids
 # ---------------------------------------------------------------------------
 
 
-def _jump_candidates(sym: PCSymbol) -> set[float]:
+def _breaks(sym: PCSymbol) -> set[float]:
+    """The angles where the symbol may jump: the breaks of its terms
+    (:func:`_exp_terms`), 0 among them, read off the tree without building
+    the terms; a node without terms has those of its children."""
     if isinstance(sym, (Const, Monomial)):
-        return set()
+        return {0.0}
     if isinstance(sym, PowerArc):
-        return {sym.anchor.angle}
+        return {0.0, sym.anchor.angle}
     if isinstance(sym, PiecewiseConst):
-        return {b.angle for b in sym.breaks}
+        return {0.0} | {b.angle for b in sym.breaks}
     if isinstance(sym, ExpArcs):
         return set(sym.breaks)
     if isinstance(sym, HalfCircleExtension):
-        inner = _jump_candidates(sym.g0)
-        return {0.0, math.pi} | inner | {_canonical_angle(-a) for a in inner}
-    if isinstance(sym, Sum):
-        return set().union(*(_jump_candidates(t) for t in sym.terms))
-    if isinstance(sym, Product):
-        return set().union(*(_jump_candidates(f) for f in sym.factors))
+        inner = _breaks(sym.g0)
+        return {math.pi} | inner | {_canonical_angle(-a) for a in inner}
+    if isinstance(sym, (Sum, Product)):
+        return set().union(*map(_breaks, sym.terms if isinstance(sym, Sum) else sym.factors))
     if isinstance(sym, (Inverse, Conjugate)):
-        return _jump_candidates(sym.child)
+        return _breaks(sym.child)
     if isinstance(sym, Tilde):
-        return {_canonical_angle(-a) for a in _jump_candidates(sym.child)}
+        return {_canonical_angle(-a) for a in _breaks(sym.child)}
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
-def dedupe_angles(angles, tol: float = 10 * ANGLE_SNAP) -> list[float]:
-    """Collapse angles that differ only by reflection round-off (cyclically)."""
+def dedupe_angles(angles, tol: float = ANGLE_SNAP) -> list[float]:
+    """Sorted angles, each dropped when it lies less than ``tol`` after the
+    last one kept (cyclically).  At the default, an angle kept is the point
+    where one-sided evaluation snaps the ones dropped."""
     out: list[float] = []
     for a in sorted(angles):
-        if not out or a - out[-1] > tol:
+        if not out or a - out[-1] >= tol:
             out.append(a)
-    if len(out) > 1 and (out[0] + TWO_PI) - out[-1] <= tol:
+    if len(out) > 1 and (out[0] + TWO_PI) - out[-1] < tol:
         out.pop()
     return out
 
 
 @lru_cache(maxsize=50_000)
+def _one_sided_at_breaks(sym: PCSymbol) -> tuple:
+    """(angle, sym(t-0), sym(t+0)) at every break of the symbol and at +-1,
+    sorted by angle, with breaks less than ANGLE_SNAP apart taken as one."""
+    return tuple((angle, evaluate(sym, angle, LEFT), evaluate(sym, angle, RIGHT))
+                 for angle in dedupe_angles(_breaks(sym) | {0.0, math.pi}))
+
+
+@lru_cache(maxsize=50_000)
 def _jump_set_cached(sym: PCSymbol, tol: float):
-    out = []
-    for angle in dedupe_angles(_jump_candidates(sym) | {0.0, math.pi}):
-        t = CirclePoint(angle)
-        left = evaluate(sym, t, LEFT)
-        right = evaluate(sym, t, RIGHT)
-        if abs(left - right) > tol:
-            out.append((t, left, right))
-    return tuple(out)
+    return tuple((CirclePoint(angle), left, right)
+                 for angle, left, right in _one_sided_at_breaks(sym) if abs(left - right) > tol)
 
 
 def jump_set(sym: PCSymbol, tol: float = JUMP_TOL):
@@ -674,7 +671,7 @@ def grid_angles(syms: Iterable[PCSymbol] | PCSymbol, n: int = GRID_N) -> np.ndar
         syms = [syms]
     angles = set(np.linspace(0.0, TWO_PI, n, endpoint=False))
     for sym in syms:
-        angles |= _jump_candidates(sym)
+        angles |= _breaks(sym)
     angles |= {0.0, math.pi}
     return np.array(dedupe_angles(angles, tol=1e-13))
 
@@ -688,12 +685,8 @@ def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, 
     angles = np.asarray(angles, dtype=float)
     right = evaluate_array(sym, angles)
     left = right.copy()
-    specials = np.array(sorted(_jump_candidates(sym) | {0.0}))
-    pos = np.searchsorted(specials, angles)
-    lo = specials[np.clip(pos - 1, 0, len(specials) - 1)]
-    hi = specials[np.clip(pos, 0, len(specials) - 1)]
-    near = np.minimum(np.abs(angles - lo), np.abs(angles - hi)) < ANGLE_SNAP
-    near |= (TWO_PI - angles) < ANGLE_SNAP  # wrap onto the candidate at 0
+    specials = np.array(sorted(_breaks(sym) | {TWO_PI}))  # 2*pi: the wrap onto 0
+    near = np.min(np.abs(angles[:, None] - specials[None, :]), axis=1) < ANGLE_SNAP
     for i in np.nonzero(near)[0]:
         t = CirclePoint(angles[i])
         left[i] = evaluate(sym, t, LEFT)
@@ -928,7 +921,7 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
     conservative near resonant frequencies although the values converge),
     the agreement between two successive panel-halving levels.
     """
-    base = dedupe_angles({0.0} | _jump_candidates(sym))
+    base = dedupe_angles(_breaks(sym))
     base.append(TWO_PI)
     if base[0] > ANGLE_SNAP:
         base.insert(0, 0.0)

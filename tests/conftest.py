@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from th_invert import catalog
 from th_invert import symbols as sy
+from th_invert.errors import DivisionBySmallModulus
 from th_invert.symbols import (CirclePoint, Const, ExpArcs, Monomial, PCSymbol, PiecewiseConst,
                                PowerArc)
 
@@ -50,6 +51,62 @@ def max_grid_deviation(s1: PCSymbol, s2: PCSymbol, n: int = 1024) -> float:
     l1, r1 = evaluate_both_sides(s1, angles)
     l2, r2 = evaluate_both_sides(s2, angles)
     return float(max(np.max(np.abs(l1 - l2)), np.max(np.abs(r1 - r2))))
+
+
+def entry_tree(u, i: int, j: int) -> PCSymbol:
+    """Entry (i, j) of a MatrixSymbol as a symbol tree: the reference for its
+    value formulas."""
+    a, b, ta_inv, tb = u.a, u.b, sy.inverse(sy.tilde(u.a)), sy.tilde(u.b)
+    if u.general:
+        rows = ((a - b * tb * ta_inv, -(b * ta_inv)), (tb * ta_inv, ta_inv))
+    else:
+        rows = ((Const(0.0), -sy.product(b, ta_inv)), (sy.product(a, sy.inverse(b)), ta_inv))
+    return rows[i][j]
+
+
+def tree_evaluate_array(sym: PCSymbol, thetas, tol: float = 1e-9) -> np.ndarray:
+    """Vectorized evaluation by a walk over the whole tree, node by node: the
+    reference for ``evaluate_array``, which reads the terms of a symbol."""
+    thetas = np.asarray(thetas, dtype=float)
+    if isinstance(sym, Const):
+        return np.full(thetas.shape, sym.value, dtype=complex)
+    if isinstance(sym, Monomial):
+        return np.exp(1j * sym.n * thetas)
+    if isinstance(sym, PowerArc):
+        zeta = np.mod(thetas - sym.anchor.angle, TWO_PI)
+        return np.exp(1j * sym.beta * (zeta - math.pi))
+    if isinstance(sym, PiecewiseConst):
+        angles = np.array([b.angle for b in sym.breaks])
+        idx = np.mod(np.searchsorted(angles, thetas, side="right") - 1, len(angles))
+        return np.asarray(sym.values, dtype=complex)[idx]
+    if isinstance(sym, ExpArcs):
+        thetas = np.mod(thetas, TWO_PI)
+        j = np.searchsorted(np.array(sym.breaks), thetas, side="right") - 1
+        return np.array(sym.c)[j] * np.exp(1j * np.array(sym.lam)[j] * thetas)
+    if isinstance(sym, sy.HalfCircleExtension):
+        upper = thetas <= math.pi
+        out = np.empty(thetas.shape, dtype=complex)
+        out[upper] = tree_evaluate_array(sym.g0, thetas[upper], tol)
+        out[~upper] = 1.0 / tree_evaluate_array(sym.g0, np.mod(TWO_PI - thetas[~upper], TWO_PI),
+                                                tol)
+        return out
+    if isinstance(sym, sy.Sum):
+        return np.sum([tree_evaluate_array(t, thetas, tol) for t in sym.terms], axis=0)
+    if isinstance(sym, sy.Product):
+        out = np.ones(thetas.shape, dtype=complex)
+        for f in sym.factors:
+            out *= tree_evaluate_array(f, thetas, tol)
+        return out
+    if isinstance(sym, sy.Inverse):
+        v = tree_evaluate_array(sym.child, thetas, tol)
+        if v.size and np.min(np.abs(v)) < tol:
+            raise DivisionBySmallModulus("modulus below tolerance")
+        return 1.0 / v
+    if isinstance(sym, sy.Conjugate):
+        return np.conj(tree_evaluate_array(sym.child, thetas, tol))
+    if isinstance(sym, sy.Tilde):
+        return tree_evaluate_array(sym.child, np.mod(-thetas, TWO_PI), tol)
+    raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
 @st.composite

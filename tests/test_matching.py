@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.errors import NotInvertible
@@ -17,7 +17,7 @@ from th_invert.matching import (
 )
 from th_invert.symbols import LEFT, RIGHT, CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
 
-from conftest import exp_linear_leaves, max_grid_deviation
+from conftest import entry_tree, exp_linear_leaves, max_grid_deviation
 
 
 def test_quarter_twist_pair_is_matching(quarter_pair):
@@ -88,10 +88,10 @@ def test_pair_with_itself():
 
 def test_triangular_matrix_entries(quarter_pair):
     u = build_u_matrix(quarter_pair)
-    assert max_grid_deviation(u[0, 0], Const(0.0)) < 1e-14
-    assert max_grid_deviation(u[0, 1], -quarter_pair.d) < 1e-12
-    assert max_grid_deviation(u[1, 0], quarter_pair.c) < 1e-12
-    assert max_grid_deviation(u[1, 1], sy.inverse(sy.tilde(quarter_pair.a))) < 1e-12
+    assert max_grid_deviation(entry_tree(u, 0, 0), Const(0.0)) < 1e-14
+    assert max_grid_deviation(entry_tree(u, 0, 1), -quarter_pair.d) < 1e-12
+    assert max_grid_deviation(entry_tree(u, 1, 0), quarter_pair.c) < 1e-12
+    assert max_grid_deviation(entry_tree(u, 1, 1), sy.inverse(sy.tilde(quarter_pair.a))) < 1e-12
 
 
 def test_general_matrix_against_direct_formulas():
@@ -112,7 +112,8 @@ def test_matrix_determinant_equals_cd(quarter_pair, half_plane_pair):
     # for matching pairs det U = c*d on the grid
     for pair in (quarter_pair, half_plane_pair):
         u = build_u_matrix(pair)
-        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        e = [[entry_tree(u, i, j) for j in range(2)] for i in range(2)]
+        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
         assert max_grid_deviation(det, pair.c * pair.d) < 1e-10
 
 
@@ -146,19 +147,27 @@ def matrix_symbols(draw):
     return build_u_matrix_general(pair.a, pair.b)
 
 
+# a and b jump 6.3e-10 at angle 0, below JUMP_TOL, and the entry -b/~a twice that
+TINY_JUMPS = PowerArc(1e-10j)
+
+
 @given(matrix_symbols(), st.integers(0, 2**32 - 1))
+@example(build_u_matrix_general(TINY_JUMPS, TINY_JUMPS), 0)
+@example(build_u_matrix(make_matching_pair(TINY_JUMPS, TINY_JUMPS)), 0)
 @settings(max_examples=60, deadline=None)
 def test_matrix_values_match_the_entry_trees(u, seed):
-    # the entry symbols u[i, j] are the reference for the value formulas
+    # the entry trees are the reference for the value formulas
     def close(got, ref):
         return np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    trees = [[entry_tree(u, i, j) for j in range(2)] for i in range(2)]
+
     def entries(t, side):
-        return np.array([[sy.evaluate(u[i, j], t, side) for j in range(2)] for i in range(2)])
+        return np.array([[sy.evaluate(trees[i][j], t, side) for j in range(2)] for i in range(2)])
 
     table = u.one_sided()
     assert list(table) == u.jump_angles()
-    for pt, _, _ in (jump for i in range(2) for j in range(2) for jump in sy.jump_set(u[i, j])):
+    for pt, _, _ in (jump for row in trees for tree in row for jump in sy.jump_set(tree)):
         assert any(abs(math.remainder(pt.angle - angle, 2 * math.pi)) < 1e-9 for angle in table)
     for angle, one_sided in table.items():
         t = CirclePoint(angle)
@@ -172,7 +181,7 @@ def test_matrix_values_match_the_entry_trees(u, seed):
     for theta in thetas[:6]:
         for side in (LEFT, RIGHT):
             assert close(u.evaluate_matrix(theta, side), entries(CirclePoint(theta), side))
-    e = [[sy.evaluate_array(u[i, j], thetas) for j in range(2)] for i in range(2)]
+    e = [[sy.evaluate_array(trees[i][j], thetas) for j in range(2)] for i in range(2)]
     assert close(u.determinant(thetas), e[0][0] * e[1][1] - e[0][1] * e[1][0])
 
 

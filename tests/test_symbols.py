@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.errors import DivisionBySmallModulus, NotInvertible, PreconditionViolation
@@ -24,7 +24,7 @@ from th_invert.symbols import (
     jump_set,
 )
 
-from conftest import exp_linear_leaves, max_grid_deviation
+from conftest import exp_linear_leaves, max_grid_deviation, tree_evaluate_array
 
 TWO_PI = 2 * math.pi
 
@@ -176,6 +176,17 @@ def test_right_half_sign_jumps():
     assert angles == pytest.approx([math.pi / 2, 3 * math.pi / 2])
     for _, left, right in jumps:
         assert {round(left.real), round(right.real)} == {-1, 1}
+
+
+@pytest.mark.parametrize("brk, angle", [(5e-13, 0.0), (1e-12, 1e-12), (2e-12, 2e-12),
+                                        (1e-9, 1e-9)])
+def test_jump_set_and_evaluation_share_the_snap(brk, angle):
+    # a break less than ANGLE_SNAP from the probe at 0 is taken at 0, where
+    # evaluation snaps onto it; one ANGLE_SNAP or more away it is a jump of its own
+    a = PiecewiseConst((brk, 1.0), (1.0, cmath.exp(1j)))
+    jumps = jump_set(a)
+    assert [pt.angle for pt, _, _ in jumps] == [angle, 1.0]
+    assert (jumps[0][1], jumps[0][2]) == (cmath.exp(1j), 1.0)
 
 
 def test_reflected_jump_detected_after_tilde():
@@ -341,7 +352,7 @@ def _piece_values(pieces, thetas):
 
 def _off_jump_angles(sym, rng, count=64):
     thetas = rng.uniform(0.0, TWO_PI, count)
-    jumps = np.array(sorted(sy._jump_candidates(sym) | {0.0, math.pi, TWO_PI}))
+    jumps = np.array(sorted(sy._breaks(sym) | {math.pi, TWO_PI}))
     gap = np.min(np.abs(thetas[:, None] - jumps[None, :]), axis=1)
     return thetas[gap > 1e-6]
 
@@ -352,9 +363,68 @@ def test_exp_pieces_evaluate_like_the_tree(sym, seed):
     pieces = sy._exp_pieces(sym)
     assert pieces is not None
     thetas = _off_jump_angles(sym, np.random.default_rng(seed))
-    expected = sy.evaluate_array(sym, thetas)
+    expected = tree_evaluate_array(sym, thetas)
     got = _piece_values(pieces, thetas)
     assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+@st.composite
+def symbol_algebra(draw, depth=2):
+    """Sums, products, tildes, conjugates and inverses of exp-linear leaves;
+    inverses and half-circle extensions of sums have no terms and are
+    evaluated node by node."""
+    kinds = ["leaf", "sum", "product", "tilde", "conjugate", "inverse", "inverse of a sum",
+             "extension of a sum"]
+    kind = draw(st.sampled_from(kinds if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(exp_linear_leaves())
+    if kind in ("sum", "product", "inverse of a sum", "extension of a sum"):
+        parts = draw(st.lists(symbol_algebra(depth - 1), min_size=2, max_size=3))
+        wrap = {"sum": sy.add, "product": sy.product,
+                "inverse of a sum": lambda *p: sy.inverse(sy.add(*p)),
+                "extension of a sum": lambda *p: sy.HalfCircleExtension(sy.add(*p))}[kind]
+        return wrap(*parts)
+    wrap = {"tilde": sy.tilde, "conjugate": sy.conjugate, "inverse": sy.inverse}[kind]
+    return wrap(draw(symbol_algebra(depth - 1)))
+
+
+@given(symbol_algebra(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_array_matches_the_tree_walk(sym, seed):
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, TWO_PI, 64)
+    breaks = np.array(sorted(sy._breaks(sym) | {TWO_PI}))
+    thetas = thetas[np.min(np.abs(thetas[:, None] - breaks[None, :]), axis=1) >= 1e-9]
+    try:
+        expected = tree_evaluate_array(sym, thetas)
+    except DivisionBySmallModulus:
+        with pytest.raises(DivisionBySmallModulus):
+            sy.evaluate_array(sym, thetas)
+        return
+    got = sy.evaluate_array(sym, thetas)
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@given(symbol_algebra())
+@settings(max_examples=60, deadline=None)
+def test_breaks_are_the_breaks_of_the_terms(sym):
+    # so jump tables probe every angle where the terms, and evaluation, can jump
+    try:
+        terms = sy._exp_terms(sym)
+    except DivisionBySmallModulus:
+        terms = None
+    assume(terms is not None)
+    assert sy._breaks(sym) == {b for p in terms for b in p.breaks[:-1].tolist() if b < TWO_PI}
+
+
+def test_evaluate_array_raises_where_an_inverse_term_comes_close_to_zero():
+    # the term of the inverse is refused, so the tree decides at the angles asked for
+    sym = sy.Inverse(PiecewiseConst((0.0, math.pi), (1.0, 1e-12)))
+    with pytest.raises(DivisionBySmallModulus):
+        sy._exp_terms(sym)
+    with pytest.raises(DivisionBySmallModulus):
+        sy.evaluate_array(sym, np.array([0.5, 4.0]))
+    assert np.array_equal(sy.evaluate_array(sym, np.array([0.5, 2.0])), [1.0, 1.0])
 
 
 def test_exp_pieces_with_a_break_next_to_zero():
