@@ -29,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -381,7 +382,11 @@ def _roots(c0: complex, c1: complex, c2: complex) -> tuple[complex, tuple]:
         # c2 so small that its root lies beyond the float range: on the
         # arc the polynomial is its linear part to within |c2| |nu|^2
     if c1 != 0:
-        return c1, (-c0 / c1,)
+        root = -c0 / c1
+        if cmath.isfinite(root):
+            return c1, (root,)
+        # c1 so small that its root lies beyond the float range: on the arc
+        # the polynomial is its constant part to within |c1| |nu|
     return c0, ()
 
 
@@ -611,6 +616,12 @@ def _index(exact: Callable[[], Optional[IndexResult]], build: Callable[[int, int
     return res
 
 
+@lru_cache(maxsize=4096)
+def _jump_table(a: PCSymbol) -> MappingProxyType:
+    """{angle: (a(t-0), a(t+0))} at the jumps of a, for the closed form and the curve."""
+    return MappingProxyType({pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)})
+
+
 def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
                           m_y: int = Y_GRID_N) -> SymbolCurve:
     """Closed oriented curve of the Toeplitz symbol of a on H^p.
@@ -618,7 +629,7 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
     The image of a along the counterclockwise circle, with the arc from
     a(t-0) to a(t+0) inserted at every jump point t.
     """
-    sides = {pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)}
+    sides = _jump_table(a)
 
     def arc_vals(theta, nus, _):
         lv, rv = sides[theta]
@@ -631,8 +642,7 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
 def _toeplitz_index(a: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
                     route: str) -> Optional[IndexResult]:
     return _index(
-        lambda: exact_index({pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)},
-                            _single_term(a), _scalar_arc, p, min_modulus_tol),
+        lambda: exact_index(_jump_table(a), _single_term(a), _scalar_arc, p, min_modulus_tol),
         lambda nt, my: toeplitz_symbol_curve(a, p, nt, my), n_t, m_y, min_modulus_tol, route)
 
 
@@ -888,6 +898,12 @@ def split_generating_pair(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol]
     return g, b0
 
 
+@lru_cache(maxsize=64)
+def _flip_table(g: PCSymbol, b0: PCSymbol) -> MappingProxyType:
+    """_th_sides at the fixed points 0 and pi of the flip, for the closed form and the curve."""
+    return MappingProxyType({theta: _th_sides(g, b0, theta) for theta in (0.0, math.pi)})
+
+
 def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
                        m_y: int = Y_GRID_N) -> SymbolCurve:
     """Curve of the scalar symbol of T(g) + H(b0), g and b0 continuous off +-1.
@@ -898,7 +914,7 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
     """
     if any(pt.angle not in (0.0, math.pi) for pt, _, _ in jump_set(g)):
         raise PreconditionViolation("g must be continuous off +-1")
-    table = {theta: _th_sides(g, b0, theta) for theta in (0.0, math.pi)}
+    table = _flip_table(g, b0)
     return _assemble_closed_curve({theta: sides[:2] for theta, sides in table.items()},
                                   lambda thetas: evaluate_array(g, thetas),
                                   lambda theta, nu, h: _th_symbol_from(table[theta], theta, nu, h),
@@ -923,12 +939,10 @@ def _th_index(a: PCSymbol, b: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: 
             f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
     g, b0, u1 = _th_parts(a, b)
 
-    def flip_exact():
-        table = {theta: _th_sides(g, b0, theta) for theta in (0.0, math.pi)}
-        return exact_index(table, _single_term(g), _flip_arc, p, min_modulus_tol)
-
     try:
-        pc = _index(flip_exact, lambda nt, my: th_pc_symbol_curve(g, b0, p, nt, my),
+        pc = _index(lambda: exact_index(_flip_table(g, b0), _single_term(g), _flip_arc, p,
+                                        min_modulus_tol),
+                    lambda nt, my: th_pc_symbol_curve(g, b0, p, nt, my),
                     n_t, m_y, min_modulus_tol, route)
         if pc is None:
             return None

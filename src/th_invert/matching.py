@@ -13,7 +13,6 @@ constant i); the reports record its constant value when it is one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -23,7 +22,7 @@ from .defaults import GRID_N, INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
 from .errors import DivisionBySmallModulus, NotInvertible
 from . import symbols as sym
 from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, PCSymbol, check_invertible,
-                      evaluate_array, evaluate_both_sides, grid_angles)
+                      evaluate_array, evaluate_both_sides, evaluate_sides, grid_angles)
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,17 @@ class MatrixSymbol:
             0.0, a * _reciprocal(b))
         return np.array([[top_left, -(b * ta_inv)], [corner, ta_inv]], dtype=complex)
 
-    def _sides(self, angle: float, sides) -> tuple[np.ndarray, np.ndarray]:
-        """(U(t-0), U(t+0)) from sides(f, angle) = (f(t-0), f(t+0)); ~f(t-0) = f(1/t+0)."""
-        (al, ar), (bl, br) = sides(self.a, angle), sides(self.b, angle)
+    def _sides(self, angle: float) -> tuple[np.ndarray, np.ndarray]:
+        """(U(t-0), U(t+0)) from the one-sided values of a and b; ~f(t-0) = f(1/t+0)."""
+        (al, ar), (bl, br) = evaluate_sides(self.a, angle), evaluate_sides(self.b, angle)
         mirror = CirclePoint(-angle).angle
-        (tar, tal), (tbr, tbl) = sides(self.a, mirror), sides(self.b, mirror)
+        (tar, tal), (tbr, tbl) = evaluate_sides(self.a, mirror), evaluate_sides(self.b, mirror)
         return self._matrix(al, bl, tal, tbl), self._matrix(ar, br, tar, tbr)
 
     def evaluate_matrix(self, t, side) -> np.ndarray:
         """U(t+0) for side "right", U(t-0) for "left"."""
         angle = t.angle if isinstance(t, CirclePoint) else CirclePoint(t).angle
-        return self._sides(angle, sym.evaluate_sides)[(LEFT, RIGHT).index(side)]
+        return self._sides(angle)[(LEFT, RIGHT).index(side)]
 
     def determinant(self, thetas: np.ndarray) -> np.ndarray:
         """det U = a/~a at angles where neither a nor ~a jumps."""
@@ -107,29 +106,11 @@ class MatrixSymbol:
 
     def _one_sided_matrices(self) -> dict:
         """The one-sided matrices at every break of a and b and its reflection,
-        kept where an entry jumps: an entry can jump more than a or b does.
-        A function is evaluated on both sides only at its own breaks."""
-        tables = {id(f): sym._one_sided_at_breaks(f) for f in (self.a, self.b)}
-        breaks = {id(f): sym._breaks(f) for f in (self.a, self.b)}
-
-        def near(x, angle):
-            return abs(math.remainder(x - angle, TWO_PI)) < sym.ANGLE_SNAP
-
-        def sides(f, angle):
-            for x, left, right in tables[id(f)]:
-                if near(x, angle):
-                    return left, right
-            if any(near(x, angle) for x in breaks[id(f)]):  # a break merged into another
-                return sym.evaluate_sides(f, angle)
-            # away from every break of f both one-sided evaluations take the
-            # same path, so one of them gives both values
-            value = sym.evaluate(f, angle)
-            return value, value
-
-        angles = {x for table in tables.values() for x, _, _ in table}
+        kept where an entry jumps: an entry can jump more than a or b does."""
+        angles = {x for f in (self.a, self.b) for x, _, _ in sym._one_sided_at_breaks(f)}
         table = {}
         for angle in sym.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles}):
-            left, right = self._sides(angle, sides)
+            left, right = self._sides(angle)
             if np.max(np.abs(left - right)) > JUMP_TOL:
                 table[angle] = (left, right)
         return table

@@ -16,8 +16,8 @@ arc (exactly c or 0 for a term c * t^k).  Inverses of sums such as
 ``1/(3 + t)``, and what is built on them, are evaluated node by node and
 take their coefficients by adaptive quadrature split at the breaks.  The
 one-sided limits ``a(t+0)`` / ``a(t-0)``, ``t+0`` the limit along the
-counterclockwise-forward side, come from the tree, and the jumps are read
-at the breaks, where alone a symbol can jump.
+counterclockwise-forward side, come from one table per symbol, taken on
+the tree at the breaks, where alone a symbol can jump (:func:`evaluate_sides`).
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
@@ -41,6 +41,7 @@ from scipy.integrate import quad
 from .defaults import GRID_N, INVERTIBILITY_TOL, JUMP_TOL, QUADRATURE_TOL
 from .errors import (
     DivisionBySmallModulus,
+    NotInvertible,
     NotPolynomial,
     PreconditionViolation,
     QuadratureNotConverged,
@@ -51,10 +52,10 @@ TWO_PI = 2.0 * math.pi
 LEFT = "left"
 RIGHT = "right"
 
-# Reflected angles (2*pi - theta) do not round-trip bit-exactly, so one-sided
-# evaluation snaps angles less than this from a break onto the break, and
-# jump tables merge candidate angles less than this apart (dedupe_angles):
-# one rule, so that every jump a table drops is seen where it keeps one.
+# Reflected angles (2*pi - theta) do not round-trip bit-exactly, so evaluation
+# snaps angles less than this from a break onto the break, one-sided tables
+# merge breaks less than this apart (dedupe_angles) and evaluate_sides reads the
+# entry less than this away: every jump a table drops is seen where it keeps one.
 ANGLE_SNAP = 1e-12
 
 
@@ -454,9 +455,8 @@ def power_arc(beta: complex, anchor: CirclePoint | float = POINT_ONE) -> PCSymbo
 # ---------------------------------------------------------------------------
 
 
-def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT,
-             tol: float = INVERTIBILITY_TOL) -> complex:
-    """One-sided limit of the symbol at t.
+def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT) -> complex:
+    """One-sided limit of the symbol at t, by a walk over its tree.
 
     ``side="right"`` returns a(t+0), the limit along increasing angle
     (counterclockwise-forward); ``side="left"`` returns a(t-0).
@@ -465,15 +465,29 @@ def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT,
         t = CirclePoint(t)
     if side not in (LEFT, RIGHT):
         raise PreconditionViolation(f"side must be 'left' or 'right', got {side!r}")
-    return _eval(sym, t.angle, side, tol)
+    return _eval(sym, t.angle, side)
 
 
 def evaluate_sides(sym: PCSymbol, t: CirclePoint | float) -> tuple[complex, complex]:
-    """(sym(t-0), sym(t+0))."""
-    return evaluate(sym, t, LEFT), evaluate(sym, t, RIGHT)
+    """(sym(t-0), sym(t+0)): the entry of :func:`_one_sided_at_breaks` less
+    than ANGLE_SNAP away; both sides on the tree less than 2 * ANGLE_SNAP
+    away, where a break that the table merged into another may lie; one walk
+    farther away, where both sides take the same path."""
+    angle = t.angle if isinstance(t, CirclePoint) else _canonical_angle(t)
+    table = _one_sided_at_breaks(sym)
+    j = bisect.bisect_left(table, (angle,))
+    gap = math.inf
+    for x, left, right in sorted((table[j - 1], table[j % len(table)])):
+        gap = min(gap, abs(math.remainder(x - angle, TWO_PI)))
+        if gap < ANGLE_SNAP:
+            return left, right
+    if gap < 2 * ANGLE_SNAP:
+        return _eval(sym, angle, LEFT), _eval(sym, angle, RIGHT)
+    value = _eval(sym, angle, RIGHT)
+    return value, value
 
 
-def _eval(sym: PCSymbol, theta: float, side: str, tol: float) -> complex:
+def _eval(sym: PCSymbol, theta: float, side: str) -> complex:
     if isinstance(sym, Const):
         return sym.value
     if isinstance(sym, Monomial):
@@ -489,24 +503,24 @@ def _eval(sym: PCSymbol, theta: float, side: str, tol: float) -> complex:
         j, at = _piece_index(sym.breaks, theta, side)
         return sym.c[j] * cmath.exp(1j * sym.lam[j] * at)
     if isinstance(sym, HalfCircleExtension):
-        return _eval_half_circle(sym.g0, theta, side, tol)
+        return _eval_half_circle(sym.g0, theta, side)
     if isinstance(sym, Sum):
-        return sum(_eval(t_, theta, side, tol) for t_ in sym.terms)
+        return sum(_eval(t_, theta, side) for t_ in sym.terms)
     if isinstance(sym, Product):
         out = 1.0 + 0.0j
         for f in sym.factors:
-            out *= _eval(f, theta, side, tol)
+            out *= _eval(f, theta, side)
         return out
     if isinstance(sym, Inverse):
-        v = _eval(sym.child, theta, side, tol)
-        if abs(v) < tol:
-            raise DivisionBySmallModulus(
-                f"modulus {abs(v):.3e} below tolerance {tol:.1e} at angle {theta:.6f} ({side})")
+        v = _eval(sym.child, theta, side)
+        if abs(v) < INVERTIBILITY_TOL:
+            raise DivisionBySmallModulus(f"modulus {abs(v):.3e} below tolerance "
+                                         f"{INVERTIBILITY_TOL:.1e} at angle {theta:.6f} ({side})")
         return 1.0 / v
     if isinstance(sym, Conjugate):
-        return _eval(sym.child, theta, side, tol).conjugate()
+        return _eval(sym.child, theta, side).conjugate()
     if isinstance(sym, Tilde):
-        return _eval(sym.child, _canonical_angle(-theta), _flip(side), tol)
+        return _eval(sym.child, _canonical_angle(-theta), _flip(side))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -531,13 +545,13 @@ def _piece_index(angles, theta: float, side: str) -> tuple[int, float]:
     return j % k, (theta if j >= 0 else theta + TWO_PI)
 
 
-def _eval_half_circle(g0: PCSymbol, theta: float, side: str, tol: float) -> complex:
+def _eval_half_circle(g0: PCSymbol, theta: float, side: str) -> complex:
     def g0_at(angle, s):
-        return _eval(g0, _canonical_angle(angle), s, tol)
+        return _eval(g0, _canonical_angle(angle), s)
 
     def inv_g0(angle, s):
         v = g0_at(angle, s)
-        if abs(v) < tol:
+        if abs(v) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("half-circle extension hit a small modulus")
         return 1.0 / v
 
@@ -551,18 +565,18 @@ def _eval_half_circle(g0: PCSymbol, theta: float, side: str, tol: float) -> comp
     return inv_g0(TWO_PI - theta, _flip(side))
 
 
-def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY_TOL) -> np.ndarray:
+def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at generic (non-jump) angles.
 
     At an exact jump angle this returns the forward-side value; callers that
-    care about one-sided limits use :func:`evaluate`.  A symbol with terms
+    care about one-sided limits use :func:`evaluate_sides`.  A symbol with terms
     (:func:`_exp_terms`) is evaluated from them, one lookup per term; the
     tree is walked only down to the nodes that have terms, below an inverse
     of a sum or where an inverse comes too close to 0 on an arc.
     """
     thetas = np.asarray(thetas, dtype=float)
-    try:  # the terms check inverses at INVERTIBILITY_TOL; another tol takes the tree
-        terms = _exp_terms(sym) if tol == INVERTIBILITY_TOL else None
+    try:
+        terms = _exp_terms(sym)
     except DivisionBySmallModulus:  # the tree refuses only the values asked for
         terms = None
     if terms is not None:
@@ -575,27 +589,27 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray, tol: float = INVERTIBILITY
         return out
     if isinstance(sym, HalfCircleExtension):  # 1/g0(conj t) on the lower half
         lower = thetas > math.pi
-        out = evaluate_array(sym.g0, np.where(lower, np.mod(TWO_PI - thetas, TWO_PI), thetas), tol)
-        if np.any(lower) and np.min(np.abs(out[lower])) < tol:
+        out = evaluate_array(sym.g0, np.where(lower, np.mod(TWO_PI - thetas, TWO_PI), thetas))
+        if np.any(lower) and np.min(np.abs(out[lower])) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("half-circle extension hit a small modulus")
         out[lower] = 1.0 / out[lower]
         return out
     if isinstance(sym, Sum):
-        return np.sum([evaluate_array(t_, thetas, tol) for t_ in sym.terms], axis=0)
+        return np.sum([evaluate_array(t_, thetas) for t_ in sym.terms], axis=0)
     if isinstance(sym, Product):
         out = np.ones(thetas.shape, dtype=complex)
         for f in sym.factors:
-            out *= evaluate_array(f, thetas, tol)
+            out *= evaluate_array(f, thetas)
         return out
     if isinstance(sym, Inverse):
-        v = evaluate_array(sym.child, thetas, tol)
-        if v.size and np.min(np.abs(v)) < tol:
+        v = evaluate_array(sym.child, thetas)
+        if v.size and np.min(np.abs(v)) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("modulus below tolerance in vectorized inverse")
         return 1.0 / v
     if isinstance(sym, Conjugate):
-        return np.conj(evaluate_array(sym.child, thetas, tol))
+        return np.conj(evaluate_array(sym.child, thetas))
     if isinstance(sym, Tilde):
-        return evaluate_array(sym.child, np.mod(-thetas, TWO_PI), tol)
+        return evaluate_array(sym.child, np.mod(-thetas, TWO_PI))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -645,7 +659,7 @@ def dedupe_angles(angles, tol: float = ANGLE_SNAP) -> list[float]:
 def _one_sided_at_breaks(sym: PCSymbol) -> tuple:
     """(angle, sym(t-0), sym(t+0)) at every break of the symbol and at +-1,
     sorted by angle, with breaks less than ANGLE_SNAP apart taken as one."""
-    return tuple((angle, evaluate(sym, angle, LEFT), evaluate(sym, angle, RIGHT))
+    return tuple((angle, _eval(sym, angle, LEFT), _eval(sym, angle, RIGHT))
                  for angle in dedupe_angles(_breaks(sym) | {0.0, math.pi}))
 
 
@@ -679,8 +693,8 @@ def grid_angles(syms: Iterable[PCSymbol] | PCSymbol, n: int = GRID_N) -> np.ndar
 def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) one-sided values over a set of angles.
 
-    Interior points are evaluated vectorized; grid angles within snapping
-    distance of a candidate jump get the exact one-sided treatment.
+    Interior points are evaluated vectorized; angles within snapping
+    distance of a candidate jump read both sides from :func:`evaluate_sides`.
     """
     angles = np.asarray(angles, dtype=float)
     right = evaluate_array(sym, angles)
@@ -688,24 +702,15 @@ def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, 
     specials = np.array(sorted(_breaks(sym) | {TWO_PI}))  # 2*pi: the wrap onto 0
     near = np.min(np.abs(angles[:, None] - specials[None, :]), axis=1) < ANGLE_SNAP
     for i in np.nonzero(near)[0]:
-        t = CirclePoint(angles[i])
-        left[i] = evaluate(sym, t, LEFT)
-        right[i] = evaluate(sym, t, RIGHT)
+        left[i], right[i] = evaluate_sides(sym, angles[i])
     return left, right
-
-
-def min_modulus_on_grid(sym: PCSymbol, n: int = GRID_N) -> float:
-    angles = grid_angles(sym, n)
-    left, right = evaluate_both_sides(sym, angles)
-    return float(min(np.min(np.abs(left)), np.min(np.abs(right))))
 
 
 def check_invertible(sym: PCSymbol, tol: float = INVERTIBILITY_TOL, n: int = GRID_N) -> float:
     """Return the grid minimum modulus, raising if it is below tolerance."""
-    m = min_modulus_on_grid(sym, n)
+    left, right = evaluate_both_sides(sym, grid_angles(sym, n))
+    m = float(min(np.min(np.abs(left)), np.min(np.abs(right))))
     if m < tol:
-        from .errors import NotInvertible
-
         raise NotInvertible(f"minimum modulus {m:.3e} below tolerance {tol:.1e}")
     return m
 
@@ -722,8 +727,7 @@ def extend_half_circle(g0: PCSymbol, tol: float = 1e-9) -> PCSymbol:
     invertible on the grid; the result g satisfies g(t) * g(1/t) = 1.
     """
     for t in (POINT_ONE, POINT_MINUS_ONE):
-        lv = evaluate(g0, t, LEFT)
-        rv = evaluate(g0, t, RIGHT)
+        lv, rv = evaluate_sides(g0, t)
         if abs(lv - rv) > tol:
             raise PreconditionViolation(f"g0 must be continuous at t=exp({t.angle:.3f}i)")
         if min(abs(rv - 1.0), abs(rv + 1.0)) > tol:
@@ -942,10 +946,10 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
                 # quadrature rules may evaluate at panel edges: use the side
                 # whose limit belongs to this panel
                 if theta - _a0 < ANGLE_SNAP:
-                    return _eval(sym, _canonical_angle(_a0), RIGHT, INVERTIBILITY_TOL)
+                    return _eval(sym, _canonical_angle(_a0), RIGHT)
                 if _a1 - theta < ANGLE_SNAP:
-                    return _eval(sym, _canonical_angle(_a1), LEFT, INVERTIBILITY_TOL)
-                return _eval(sym, _canonical_angle(theta), RIGHT, INVERTIBILITY_TOL)
+                    return _eval(sym, _canonical_angle(_a1), LEFT)
+                return _eval(sym, _canonical_angle(theta), RIGHT)
 
             def f_re(theta):
                 return f(theta).real

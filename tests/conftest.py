@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from th_invert import catalog
 from th_invert import symbols as sy
+from th_invert.defaults import INVERTIBILITY_TOL
 from th_invert.errors import DivisionBySmallModulus
 from th_invert.symbols import (CirclePoint, Const, ExpArcs, Monomial, PCSymbol, PiecewiseConst,
                                PowerArc)
@@ -64,7 +65,7 @@ def entry_tree(u, i: int, j: int) -> PCSymbol:
     return rows[i][j]
 
 
-def tree_evaluate_array(sym: PCSymbol, thetas, tol: float = 1e-9) -> np.ndarray:
+def tree_evaluate_array(sym: PCSymbol, thetas) -> np.ndarray:
     """Vectorized evaluation by a walk over the whole tree, node by node: the
     reference for ``evaluate_array``, which reads the terms of a symbol."""
     thetas = np.asarray(thetas, dtype=float)
@@ -86,26 +87,25 @@ def tree_evaluate_array(sym: PCSymbol, thetas, tol: float = 1e-9) -> np.ndarray:
     if isinstance(sym, sy.HalfCircleExtension):
         upper = thetas <= math.pi
         out = np.empty(thetas.shape, dtype=complex)
-        out[upper] = tree_evaluate_array(sym.g0, thetas[upper], tol)
-        out[~upper] = 1.0 / tree_evaluate_array(sym.g0, np.mod(TWO_PI - thetas[~upper], TWO_PI),
-                                                tol)
+        out[upper] = tree_evaluate_array(sym.g0, thetas[upper])
+        out[~upper] = 1.0 / tree_evaluate_array(sym.g0, np.mod(TWO_PI - thetas[~upper], TWO_PI))
         return out
     if isinstance(sym, sy.Sum):
-        return np.sum([tree_evaluate_array(t, thetas, tol) for t in sym.terms], axis=0)
+        return np.sum([tree_evaluate_array(t, thetas) for t in sym.terms], axis=0)
     if isinstance(sym, sy.Product):
         out = np.ones(thetas.shape, dtype=complex)
         for f in sym.factors:
-            out *= tree_evaluate_array(f, thetas, tol)
+            out *= tree_evaluate_array(f, thetas)
         return out
     if isinstance(sym, sy.Inverse):
-        v = tree_evaluate_array(sym.child, thetas, tol)
-        if v.size and np.min(np.abs(v)) < tol:
+        v = tree_evaluate_array(sym.child, thetas)
+        if v.size and np.min(np.abs(v)) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("modulus below tolerance")
         return 1.0 / v
     if isinstance(sym, sy.Conjugate):
-        return np.conj(tree_evaluate_array(sym.child, thetas, tol))
+        return np.conj(tree_evaluate_array(sym.child, thetas))
     if isinstance(sym, sy.Tilde):
-        return tree_evaluate_array(sym.child, np.mod(-thetas, TWO_PI), tol)
+        return tree_evaluate_array(sym.child, np.mod(-thetas, TWO_PI))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.calculus import (
@@ -42,7 +42,8 @@ from th_invert.errors import (
     OutOfDomain,
     PreconditionViolation,
 )
-from th_invert.symbols import POINT_ONE, CirclePoint, Const, Monomial, PiecewiseConst, PowerArc
+from th_invert.symbols import (POINT_ONE, CirclePoint, Const, ExpArcs, Monomial, PiecewiseConst,
+                               PowerArc)
 
 from conftest import exp_linear_leaves, max_grid_deviation
 
@@ -564,6 +565,7 @@ def test_exact_toeplitz_index_matches_the_curve(f, g, p):
 
 
 @given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
+@example(Const(1.0), PowerArc(2.2e-309 + 0.25j, CirclePoint(1.25)), 2.0)  # subnormal root term
 @settings(max_examples=40, deadline=None)
 def test_exact_matrix_index_matches_the_curve(a, b, p):
     from th_invert.matching import build_u_matrix_general
@@ -576,6 +578,7 @@ def test_exact_matrix_index_matches_the_curve(a, b, p):
 
 
 @given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
+@example(Monomial(1), ExpArcs((0.0, 1.0), (0.5, 1.0), (0.0, 2.7e-297)), 2.0)  # subnormal lam
 @settings(max_examples=40, deadline=None)
 def test_exact_th_index_matches_the_curves(a, b, p):
     # the +-1 branch of the T+H symbol and the determinant of U1

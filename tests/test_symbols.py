@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from th_invert import symbols as sy
 from th_invert.errors import DivisionBySmallModulus, NotInvertible, PreconditionViolation
@@ -415,6 +415,45 @@ def test_breaks_are_the_breaks_of_the_terms(sym):
         terms = None
     assume(terms is not None)
     assert sy._breaks(sym) == {b for p in terms for b in p.breaks[:-1].tolist() if b < TWO_PI}
+
+
+def _tree_sides(sym, angle):
+    try:
+        return evaluate(sym, angle, LEFT), evaluate(sym, angle, RIGHT)
+    except DivisionBySmallModulus as exc:
+        return type(exc)
+
+
+@given(symbol_algebra(), st.floats(0.0, TWO_PI, exclude_max=True))
+@example(PiecewiseConst((1.0, 1.0 + 5e-13), (1.0, 2j)), 3.0)
+@example(sy.product(Monomial(2), PiecewiseConst((1.0, 1.0 + 5e-13), (1.0, 2j))), 3.0)
+@example(sy.add(PowerArc(0.3, CirclePoint(2.0)), PowerArc(0.5j, CirclePoint(2.0 + 5e-13))), 1.0)
+@example(sy.product(Monomial(1), PowerArc(0.4 + 0.1j, CirclePoint(TWO_PI - 5e-13))), 1.0)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_sides_reads_the_table_and_the_tree(sym, generic):
+    # At a table angle, 2*pi - theta of a break, 5e-13 on either side of a
+    # break and a generic angle, evaluate_sides gives exactly the tree's two
+    # one-sided values, taken at the table angle less than ANGLE_SNAP away if
+    # there is one: the snap of the table, where the tree evaluates a factor
+    # such as t^n at the angle as given.  Two breaks 5e-13 apart are one
+    # table entry, and 5e-13 beyond the dropped one the tree takes both sides.
+    try:
+        table = sy._one_sided_at_breaks(sym)
+    except DivisionBySmallModulus:
+        assume(False)
+    breaks = sy._breaks(sym)
+    angles = ([x for x, _, _ in table] + [TWO_PI - b for b in breaks]
+              + [b + d for b in breaks for d in (-5e-13, 5e-13)] + [generic])
+    for theta in angles:
+        t = CirclePoint(theta)
+        snapped = next((x for x, _, _ in table
+                        if abs(math.remainder(x - t.angle, TWO_PI)) < sy.ANGLE_SNAP), t.angle)
+        expected = _tree_sides(sym, snapped)
+        if expected is DivisionBySmallModulus:
+            with pytest.raises(DivisionBySmallModulus):
+                sy.evaluate_sides(sym, t)
+        else:
+            assert sy.evaluate_sides(sym, t) == expected
 
 
 def test_evaluate_array_raises_where_an_inverse_term_comes_close_to_zero():
