@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import hankel as _hankel_la
-from scipy.linalg import toeplitz as _toeplitz_la
+from scipy.linalg import (LinAlgError, hankel as _hankel_la, solve_toeplitz,
+                          toeplitz as _toeplitz_la)
 
 from .defaults import QUADRATURE_TOL, SPECTRAL_GAP, SV_THRESHOLD
 from .errors import NoSpectralGap, PreconditionViolation
@@ -55,14 +55,30 @@ def matrix_to_csv(m: FiniteSectionMatrix | np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_and_row(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First column a_0 .. a_{n-1} and first row a_0 .. a_{-(n-1)} of the
+    n x n section whose coefficients a_{-(n-1)} .. a_{n-1} are ``coeffs``."""
+    n = (len(coeffs) + 1) // 2
+    return coeffs[n - 1:], coeffs[n - 1::-1]
+
+
+def _section_times(coeffs: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
+    """Entries m-1 .. m-2+n_out of the convolution of ``coeffs`` with x of
+    length m (a vector, or each column of an m x k array).  With ``coeffs``
+    the symbol coefficients from index -(m-1) on, these are the first n_out
+    entries of T x, each an exact finite sum."""
+    if x.ndim == 2:
+        return np.stack([_section_times(coeffs, col, n_out) for col in x.T], axis=1)
+    m = len(x)
+    return np.convolve(coeffs, x)[m - 1: m - 1 + n_out]
+
+
 def toeplitz_matrix(a: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
     """n x n section with entries a_{j-k}; ``tol`` bounds quadrature coefficients."""
     if n < 1:
         raise PreconditionViolation("section size must be >= 1")
-    coeffs = coefficient_range(a, -(n - 1), n - 1, tol=tol)
-    col = coeffs[n - 1:]          # a_0, a_1, ..., a_{n-1}
-    row = coeffs[: n][::-1]       # a_0, a_{-1}, ..., a_{-(n-1)}
-    return FiniteSectionMatrix(_toeplitz_la(col, row))
+    return FiniteSectionMatrix(_toeplitz_la(*_column_and_row(
+        coefficient_range(a, -(n - 1), n - 1, tol=tol))))
 
 
 def hankel_matrix(b: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
@@ -296,14 +312,49 @@ def apply_operator(a: PCSymbol, b: PCSymbol, sign: int, poly: np.ndarray,
     deg = len(x) - 1
     ca = coefficient_range(a, -deg, n_out - 1)     # indices -deg .. n_out-1
     cb = coefficient_range(b, 1, n_out + deg)      # indices 1 .. n_out+deg
-    t_part = np.convolve(ca, x)[deg: deg + n_out]
-    h_part = np.convolve(cb, x[::-1])[deg: deg + n_out]
-    return t_part + sign * h_part
+    return _section_times(ca, x, n_out) + sign * _section_times(cb, x[::-1], n_out)
 
 
 # ---------------------------------------------------------------------------
 # kernel dimension of diag(T(a)+H(b), T(a)-H(b)) from the subordinated pair
 # ---------------------------------------------------------------------------
+
+
+def _solve_section(coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T_n x = rhs for the section with coefficients a_{-(n-1)} .. a_{n-1}.
+
+    Levinson recursion solves in O(n^2) but is not backward stable: two power
+    arcs anchored close together can leave a residual 1e6 times that of LU.
+    So its solution is kept only when the normwise backward error
+    ||T x - rhs|| / (||T|| ||x|| + ||rhs||), in the max norm of each column
+    with ||T|| bounded by the sum of |a_k|, is at most n * eps, which LU with
+    partial pivoting attains in practice.  Otherwise, and when a leading
+    minor is singular, the dense section is solved by LU.
+    """
+    n = rhs.shape[0]
+    col, row = _column_and_row(coeffs)
+    try:
+        x = solve_toeplitz((col, row), rhs)
+    except LinAlgError:
+        x = None
+    if x is not None:
+        residual = np.abs(_section_times(coeffs, x, n) - rhs).max(axis=0)
+        scale = np.abs(coeffs).sum() * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+        if np.all(residual <= n * np.finfo(float).eps * scale):
+            return x
+    return np.linalg.solve(_toeplitz_la(col, row), rhs)
+
+
+def _compression(u0: PCSymbol, v0: PCSymbol, w: PCSymbol, kappa1: int, size: int,
+                 tol: float) -> np.ndarray:
+    """T_size^-1(u0) T_size(w) T_size^-1(v0) on the first kappa1 unit vectors,
+    by structured solves; no dense section is built unless one is declined."""
+    if not kappa1:
+        return np.zeros((size, 0), dtype=complex)
+    c_u0, c_v0, c_w = (coefficient_range(s, -(size - 1), size - 1, tol=tol)
+                       for s in (u0, v0, w))
+    z = _solve_section(c_v0, np.eye(size, kappa1, dtype=complex))
+    return _solve_section(c_u0, _section_times(c_w, z, size))
 
 
 @dataclass(frozen=True)
@@ -337,6 +388,14 @@ def kernel_formula_eval(pair: MatchingPair, kappa1: int, kappa2: int, n: int = 5
       max(n // 2, 8 max(kappa1, -kappa2)), which must be below n
       (PreconditionViolation otherwise).
 
+    The sections are read from their coefficient vectors and solved by
+    Levinson recursion, with T(w) applied by convolution, so no dense n x n
+    matrix is built.  A structured solution is kept only when its backward
+    error is certified at most n * eps; otherwise, or when a leading minor
+    is singular, that section is solved densely by LU (see
+    ``_solve_section``).  The sizes and the rank rule do not depend on
+    which solve was used.
+
     ``tol`` bounds the quadrature coefficients of the sections.
     """
     if kappa1 >= 0 and kappa2 >= 0:
@@ -351,23 +410,13 @@ def kernel_formula_eval(pair: MatchingPair, kappa1: int, kappa2: int, n: int = 5
     v0 = sy.product(pair.d, Monomial(kappa1))      # index 0
     w = sy.inverse(sy.tilde(pair.a))
 
-    def compression(size: int) -> np.ndarray:
-        a_u0 = toeplitz_matrix(u0, size, tol).entries
-        a_v0 = toeplitz_matrix(v0, size, tol).entries
-        a_w = toeplitz_matrix(w, size, tol).entries
-        rhs = np.zeros((size, kappa1), dtype=complex)
-        for j in range(kappa1):
-            rhs[j, j] = 1.0
-        z = np.linalg.solve(a_v0, rhs)     # T^-1(v0) on im P_{kappa1-1}
-        return np.linalg.solve(a_u0, a_w @ z)
-
     n_half = max(n // 2, 8 * max(kappa1, -kappa2))
     if n_half >= n:
         raise PreconditionViolation(
             f"section size {n} leaves no smaller section to compare with "
             f"(the comparison needs {n_half}); use a size above {n_half}")
-    m_full = compression(n)
-    m_half = compression(n_half)
+    m_full = _compression(u0, v0, w, kappa1, n, tol)
+    m_half = _compression(u0, v0, w, kappa1, n_half, tol)
 
     def dims(rows: int) -> tuple[int, int]:
         reduced = m_full[:rows, :]

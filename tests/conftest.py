@@ -9,6 +9,7 @@ from th_invert import catalog
 from th_invert import symbols as sy
 from th_invert.defaults import INVERTIBILITY_TOL
 from th_invert.errors import DivisionBySmallModulus
+from th_invert.sections import toeplitz_matrix
 from th_invert.symbols import (CirclePoint, Const, ExpArcs, Monomial, PCSymbol, PiecewiseConst,
                                PowerArc)
 
@@ -107,6 +108,20 @@ def tree_evaluate_array(sym: PCSymbol, thetas) -> np.ndarray:
     if isinstance(sym, sy.Tilde):
         return tree_evaluate_array(sym.child, np.mod(-thetas, TWO_PI))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
+
+
+def dense_compression(u0: PCSymbol, v0: PCSymbol, w: PCSymbol, kappa1: int, size: int,
+                      tol: float) -> np.ndarray:
+    """T_size^-1(u0) T_size(w) T_size^-1(v0) on the first kappa1 unit vectors by
+    dense LU on the sections: the reference for ``sections._compression``."""
+    a_u0 = toeplitz_matrix(u0, size, tol).entries
+    a_v0 = toeplitz_matrix(v0, size, tol).entries
+    a_w = toeplitz_matrix(w, size, tol).entries
+    rhs = np.zeros((size, kappa1), dtype=complex)
+    for j in range(kappa1):
+        rhs[j, j] = 1.0
+    z = np.linalg.solve(a_v0, rhs)     # T^-1(v0) on im P_{kappa1-1}
+    return np.linalg.solve(a_u0, a_w @ z)
 
 
 @st.composite

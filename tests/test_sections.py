@@ -1,14 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from th_invert import sections
 from th_invert import symbols as sy
 from th_invert.analyzer import Analysis, classify
 from th_invert.catalog import quarter_twist, quarter_twist_pair
 from th_invert.errors import NoSpectralGap, NotPolynomial, PreconditionViolation
-from th_invert.matching import make_matching_pair
+from th_invert.matching import MatchingPair, make_matching_pair
+from th_invert.sampling import random_matching_pair
 from th_invert.defaults import SPECTRAL_GAP, SV_THRESHOLD
 from th_invert.sections import (
     NumericalKernel,
@@ -22,7 +25,10 @@ from th_invert.sections import (
     toeplitz_matrix,
     verify_product_identities,
 )
-from th_invert.symbols import Const, Monomial, PowerArc, fourier_coefficient
+from th_invert.symbols import (CirclePoint, Const, Monomial, PiecewiseConst, PowerArc,
+                               fourier_coefficient)
+
+from conftest import dense_compression
 
 
 def hankel_entry_oracle(b, j, k):
@@ -426,6 +432,70 @@ def test_kernel_formula_sizes_above_the_comparison(n, entry):
     assert (res.dimension, res.rank, res.alt_dimension) == (0, 1, 0)
     assert res.reduced_matrix.shape == (1, 1)
     assert res.reduced_matrix[0, 0] == pytest.approx(entry, rel=1e-12)
+
+
+def _formula_outcome(pair, kappa1, kappa2, n):
+    """(dimension, rank, alt_dimension) and the reduced matrix, or the refusal."""
+    try:
+        res = kernel_formula_eval(pair, kappa1, kappa2, n=n)
+    except (NoSpectralGap, PreconditionViolation) as exc:
+        return type(exc), None
+    return (res.dimension, res.rank, res.alt_dimension), res.reduced_matrix
+
+
+def _mixed_quadrant_pair(seed, p):
+    """The first random matching pair with kappa1 >= 1 and kappa2 < 0 at p that
+    the seeded generator draws (about one in fifteen is)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        pair = random_matching_pair(rng, p)
+        kappas = Analysis(pair, p).kappas
+        if kappas is not None and kappas[0] >= 1 and kappas[1] < 0:
+            return pair, kappas
+    raise AssertionError("no mixed-quadrant pair in 200 draws")
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1.5, 2.5, 3.0)))
+@settings(max_examples=10, deadline=None)
+def test_kernel_formula_matches_the_dense_solves(seed, p):
+    pair, (kappa1, kappa2) = _mixed_quadrant_pair(seed, p)
+    for n in (16, 64, 256):
+        got, got_matrix = _formula_outcome(pair, kappa1, kappa2, n)
+        with mock.patch.object(sections, "_compression", dense_compression):
+            ref, ref_matrix = _formula_outcome(pair, kappa1, kappa2, n)
+        assert got == ref
+        if ref_matrix is not None:
+            assert np.abs(got_matrix - ref_matrix).max() <= 1e-10 * np.abs(ref_matrix).max()
+
+
+@pytest.mark.parametrize("v0", [
+    # zero mean: the first leading minor is 0 and Levinson stops
+    PiecewiseConst((0.0, math.pi), (1.0, -1.0)),
+    # two power arcs anchored 0.04 apart: Levinson's backward error is 4.8e-10
+    # at n = 512 and 1.8e-12 at 256, LU's about 1e-16
+    sy.product(PowerArc(0.5, CirclePoint(3.1632250035974443)),
+               PowerArc(0.5, CirclePoint(3.119960303582142)),
+               PowerArc(-0.25, CirclePoint(0.0))),
+], ids=["singular-minor", "close-arcs"])
+def test_kernel_formula_declines_an_uncertified_structured_solve(v0):
+    # c = t and d = v0 t^-1, so T(u0) = T(~a^-1) = I and only T(v0) is solved
+    # densely, once per section size
+    pair = MatchingPair(Const(1.0), Const(1.0), Monomial(1), sy.product(v0, Monomial(-1)), 0.0)
+    dense_sizes = []
+    solve = np.linalg.solve
+
+    def spy(m, rhs):
+        dense_sizes.append(m.shape[0])
+        return solve(m, rhs)
+
+    with mock.patch.object(np.linalg, "solve", spy):
+        res = kernel_formula_eval(pair, 1, -1, n=512)
+    assert dense_sizes == [512, 256]
+    with mock.patch.object(sections, "_compression", dense_compression):
+        ref = kernel_formula_eval(pair, 1, -1, n=512)
+    assert (res.dimension, res.rank, res.alt_dimension) == \
+        (ref.dimension, ref.rank, ref.alt_dimension)
+    assert res.reduced_matrix[0, 0] == pytest.approx(ref.reduced_matrix[0, 0], rel=1e-12)
 
 
 def test_kernel_formula_mixed_quadrant_alt_projection(quarter_pair):
