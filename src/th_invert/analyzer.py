@@ -42,7 +42,7 @@ from .calculus import (
     toeplitz_index,
 )
 from .config import Tolerances
-from .defaults import CRITICAL_RTOL, GRID_N, WINDING_MIN_MODULUS, Y_GRID_N
+from .defaults import CRITICAL_RTOL, WINDING_MIN_MODULUS
 from .errors import (
     InconsistentRecord,
     NoFredholmNeighborhood,
@@ -197,14 +197,13 @@ def kernel_witness_candidates(a: PCSymbol, b: PCSymbol) -> dict:
     return out
 
 
-def verified_kernel_witnesses(a: PCSymbol, b: PCSymbol, n_out: int = 256,
-                              residual_tol: float = 1e-10) -> dict:
-    """Keep only candidates annihilated by the coefficient-level application."""
+def verified_kernel_witnesses(a: PCSymbol, b: PCSymbol, n_out: int = 256) -> dict:
+    """Keep the candidates that the coefficient-level application maps below norm 1e-10."""
     out = {1: [], -1: []}
     for sign, vecs in kernel_witness_candidates(a, b).items():
         for v in vecs:
             res = float(np.linalg.norm(apply_operator(a, b, sign, v, n_out)))
-            if res < residual_tol:
+            if res < 1e-10:
                 out[sign].append(v)
     return out
 
@@ -302,16 +301,14 @@ class _Witnesses(Analysis):
     the routes that cross_check compares."""
 
     def _sampled(self, key, index, *args):
-        return self._once(key, lambda: index(*args, GRID_N, Y_GRID_N,
-                                             self.tolerances.winding, SAMPLED))
+        return self._once(key, lambda: index(*args, self.tolerances.winding, SAMPLED))
 
     def toeplitz(self, symbol: PCSymbol) -> IndexResult:
         return self._sampled(("toeplitz", symbol), _toeplitz_index, symbol, self.p)
 
     def _th(self, sign: int, route: str) -> Optional[int]:
         return self._once((route, sign), lambda: _th_index(
-            self.pair.a, self._b(sign), self.p, GRID_N, Y_GRID_N, self.tolerances.winding,
-            self.check(sign), route))
+            self.pair.a, self._b(sign), self.p, self.tolerances.winding, self.check(sign), route))
 
     def th_index(self, sign: int) -> int:
         return self._th(sign, SAMPLED)
@@ -510,17 +507,18 @@ def probe_limit_index(symbol: PCSymbol, p,
     Fredholm and some s_next exists, the index is read again at the midpoint
     of (p, s_next), where it is the same.  NoFredholmNeighborhood when
     T(symbol) is not Fredholm there, as when the symbol vanishes on a
-    continuous stretch.
+    continuous stretch.  The read uses the one base grid of every index, so
+    ``read`` is the fact that an Analysis at ``s_used`` computes.
     """
     pe = _as_exponent(p)
     above = [s for s in critical_exponents(symbol) if s > pe.p * (1 + CRITICAL_RTOL)]
     s_next = above[0] if above else None
     p_star = s_next if above and s_next <= (pe.p + 1) * (1 + CRITICAL_RTOL) else None
     s_used = pe.p + 1.0 if p_star is None else 0.5 * (pe.p + p_star)
-    res = toeplitz_index(symbol, s_used, n_t=512, min_modulus_tol=min_modulus_tol)
+    res = toeplitz_index(symbol, s_used, min_modulus_tol=min_modulus_tol)
     if not res.fredholm and p_star is None and s_next is not None:
         s_used = 0.5 * (pe.p + s_next)
-        res = toeplitz_index(symbol, s_used, n_t=512, min_modulus_tol=min_modulus_tol)
+        res = toeplitz_index(symbol, s_used, min_modulus_tol=min_modulus_tol)
     if not res.fredholm:
         raise NoFredholmNeighborhood(
             f"T(symbol) is not Fredholm at s = {s_used:.6g}, between p = {pe.p:g} "

@@ -20,6 +20,10 @@ exp-linear terms, the winding is a sum of closed-form increments with a
 certified distance from the origin (:func:`exact_index`); the sampled
 curves remain the fallback, and the independent witnesses of the index
 routes.
+
+Every sampled curve and symbol check starts from one base grid of constant
+size, GRID_N angles by Y_GRID_N finite y samples per arc; curves are then
+refined adaptively wherever a step turns too far about the origin.
 """
 
 from __future__ import annotations
@@ -111,27 +115,27 @@ def weight_functions(p, y):
     return nus[()], hs[()]
 
 
-def y_grid(m: int = Y_GRID_N, delta: float = Y_GRID_DELTA) -> np.ndarray:
-    """Finite y samples via the tanh map; dense near the arc endpoints."""
-    u = np.linspace(-1.0 + delta, 1.0 - delta, m)
+def y_grid() -> np.ndarray:
+    """The Y_GRID_N finite y samples via the tanh map; dense near the arc endpoints."""
+    u = np.linspace(-1.0 + Y_GRID_DELTA, 1.0 - Y_GRID_DELTA, Y_GRID_N)
     return np.arctanh(u)
 
 
-def _y_axis(m: int) -> np.ndarray:
-    """The compactified line: -inf, the m finite samples of y_grid, +inf."""
-    return np.concatenate([[-np.inf], y_grid(m), [np.inf]])
+def _y_axis() -> np.ndarray:
+    """The compactified line: -inf, the finite samples of y_grid, +inf."""
+    return np.concatenate([[-np.inf], y_grid(), [np.inf]])
 
 
 @lru_cache(maxsize=32)
-def _base_weights(p: float, m_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """weight_functions(p, _y_axis(m_y)), the same for every arc of every curve;
+def _base_weights(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """weight_functions(p, _y_axis()), the same for every arc of every curve;
     read-only, as they are shared."""
-    nus, hs = weight_functions(p, _y_axis(m_y))
+    nus, hs = weight_functions(p, _y_axis())
     nus.flags.writeable = hs.flags.writeable = False
     return nus, hs
 
 
-def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
+def arc(u: complex, w: complex, p) -> "SymbolCurve":
     """The oriented arc {u*(1 - nu_p(y)) + w*nu_p(y)} from u to w.
 
     For p = 2 this is the segment [u, w]; for p > 2 it bulges right of the
@@ -140,7 +144,7 @@ def arc(u: complex, w: complex, p, n_samples: int = Y_GRID_N) -> "SymbolCurve":
     """
     if u == w:
         raise DegenerateArc("arc endpoints coincide")
-    ys = _y_axis(n_samples)
+    ys = _y_axis()
     nus, _ = weight_functions(p, ys)
     values = u * (1.0 - nus) + w * nus
     params = np.tanh(np.clip(ys, -50, 50))
@@ -172,9 +176,14 @@ class SymbolCurve:
         return len(self.values)
 
 
-def winding(curve: SymbolCurve, min_modulus_tol: float = WINDING_MIN_MODULUS,
-            residual_tol: float = WINDING_RESIDUAL) -> int:
-    """Winding number about the origin from accumulated argument increments."""
+def winding(curve: SymbolCurve, min_modulus_tol: float = WINDING_MIN_MODULUS) -> int:
+    """Winding number about the origin from accumulated argument increments.
+
+    The principal-argument steps of a closed polyline sum to whole turns up
+    to round-off, so NonIntegerWinding in practice means a step above 2.8
+    rad, which may pass either side of the origin: adaptive refinement hit
+    its cap before resolving it.
+    """
     if curve.min_modulus <= min_modulus_tol:
         raise CurveThroughOrigin(
             f"curve minimum modulus {curve.min_modulus:.3e} <= {min_modulus_tol:.1e}")
@@ -184,18 +193,18 @@ def winding(curve: SymbolCurve, min_modulus_tol: float = WINDING_MIN_MODULUS,
     dphi = np.angle(z[1:] / z[:-1])
     total = float(dphi.sum()) / TWO_PI
     nearest = round(total)
-    if abs(total - nearest) >= residual_tol or float(np.max(np.abs(dphi), initial=0.0)) > 2.8:
+    if abs(total - nearest) >= WINDING_RESIDUAL or float(np.max(np.abs(dphi), initial=0.0)) > 2.8:
         raise NonIntegerWinding(
             f"winding {total:.4f} not close to an integer (undersampled curve)")
     return int(nearest)
 
 
 def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
-                       evaluator: Callable[[np.ndarray], np.ndarray],
-                       max_step: float = 0.35, rounds: int = 48,
-                       cap: int = 400_000) -> tuple[np.ndarray, np.ndarray]:
-    """Insert parameter midpoints until no step subtends more than
-    ``max_step`` radians at the origin.
+                       evaluator: Callable[[np.ndarray], np.ndarray]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Insert parameter midpoints until no step subtends more than 0.35
+    radians at the origin, for at most 48 rounds and while the polyline has
+    at most 400 000 points.
 
     Curves passing exactly through the origin keep near-pi steps at every
     depth; the round/size caps end the search and the tiny resulting
@@ -203,11 +212,11 @@ def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=complex)
-    for _ in range(rounds):
+    for _ in range(48):
         with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.abs(np.angle(values[1:] / values[:-1]))
-        bad = dphi > max_step
-        if not bad.any() or len(params) > cap:
+        bad = dphi > 0.35
+        if not bad.any() or len(params) > 400_000:
             break
         mids = 0.5 * (params[:-1][bad] + params[1:][bad])
         mvals = evaluator(mids)
@@ -222,23 +231,21 @@ def _assemble_closed_curve(
     cont_values: Callable[[np.ndarray], np.ndarray],
     arc_values: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     p,
-    n_t: int,
-    m_y: int,
 ) -> SymbolCurve:
     """Concatenate continuous stretches with arc insertions at each jump.
 
     ``sides`` maps each jump angle, in increasing order, to the values at
     t-0 and t+0.  The curve starts just after the first jump (or at angle 0
     when there is none) and is explicitly closed by repeating its first
-    point.  Every segment is refined adaptively near the origin, so close
-    approaches are resolved regardless of the base grids.  Arcs are
+    point.  Every segment starts from the base grid and is refined
+    adaptively near the origin, so close approaches are resolved.  Arcs are
     parametrized by u = tanh(y) in [-1, 1]; ``arc_values(angle, nu, h)``
     gets the weights nu_p(y), h_p(y), taken from :func:`_base_weights` on
     the base grid and evaluated afresh only at the inserted midpoints.
     """
     pe = _as_exponent(p).p
-    us0 = np.tanh(_y_axis(m_y))
-    weights0 = _base_weights(pe, m_y)
+    us0 = np.tanh(_y_axis())
+    weights0 = _base_weights(pe)
     pieces: list[np.ndarray] = []
     seg_ids: list[np.ndarray] = []
     params: list[np.ndarray] = []
@@ -260,7 +267,7 @@ def _assemble_closed_curve(
 
     jump_angles = list(sides)
     if not jump_angles:
-        thetas = np.concatenate([np.linspace(0.0, TWO_PI, n_t, endpoint=False), [TWO_PI]])
+        thetas = np.concatenate([np.linspace(0.0, TWO_PI, GRID_N, endpoint=False), [TWO_PI]])
         vals = cont_values(np.mod(thetas, TWO_PI))
         thetas, vals = _adaptive_polyline(thetas, vals, stretch_evaluator)
         emit(thetas[:-1], vals[:-1])
@@ -272,7 +279,7 @@ def _assemble_closed_curve(
             a0 = jump_angles[j]
             theta_next = jump_angles[(j + 1) % k]
             a1 = theta_next if theta_next > a0 else theta_next + TWO_PI
-            npts = max(8, int(round(n_t * (a1 - a0) / TWO_PI)))
+            npts = max(8, int(round(GRID_N * (a1 - a0) / TWO_PI)))
             thetas = np.linspace(a0, a1, npts + 2)[1:-1]  # open interior
             inner = cont_values(np.mod(thetas, TWO_PI))
             vals = np.concatenate([[sides[a0][1]], inner, [sides[theta_next][0]]])
@@ -308,24 +315,13 @@ class IndexResult:
         return self.index
 
 
-def _curve_index(build: Callable[[int, int], SymbolCurve], n_t: int, m_y: int,
-                 min_modulus_tol: float) -> IndexResult:
-    """Fredholmness and index from the closed curve ``build(n_t, m_y)``.
-
-    Not Fredholm when the curve comes within ``min_modulus_tol`` of the
-    origin; otherwise the index is minus its winding, with both grids
-    refined while the winding is not close to an integer.
-    """
-    curve = build(n_t, m_y)
+def _curve_index(curve: SymbolCurve, min_modulus_tol: float) -> IndexResult:
+    """Fredholmness and index from one closed curve: not Fredholm when it
+    comes within ``min_modulus_tol`` of the origin, else minus its winding.
+    NonIntegerWinding is not retried: refinement hit its cap, and a finer
+    base grid would not mend that."""
     if curve.min_modulus <= min_modulus_tol:
         return IndexResult(False, None, curve.min_modulus)
-    for _ in range(4):
-        try:
-            return IndexResult(True, -winding(curve, min_modulus_tol), curve.min_modulus)
-        except NonIntegerWinding:
-            n_t *= 2
-            m_y = 2 * m_y + 1
-            curve = build(n_t, m_y)
     return IndexResult(True, -winding(curve, min_modulus_tol), curve.min_modulus)
 
 
@@ -606,13 +602,13 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
     return IndexResult(True, -int(round(wind)), bound)
 
 
-def _index(exact: Callable[[], Optional[IndexResult]], build: Callable[[int, int], SymbolCurve],
-           n_t: int, m_y: int, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
+def _index(exact: Callable[[], Optional[IndexResult]], build: Callable[[], SymbolCurve],
+           min_modulus_tol: float, route: str) -> Optional[IndexResult]:
     """The index by ``route`` (AUTO, EXACT or SAMPLED) from the closed form
-    ``exact()`` and the curve ``build``."""
+    ``exact()`` and the curve ``build()``."""
     res = None if route == SAMPLED else exact()
     if res is None and route != EXACT:
-        res = _curve_index(build, n_t, m_y, min_modulus_tol)
+        res = _curve_index(build(), min_modulus_tol)
     return res
 
 
@@ -622,8 +618,7 @@ def _jump_table(a: PCSymbol) -> MappingProxyType:
     return MappingProxyType({pt.angle: (lv, rv) for pt, lv, rv in jump_set(a)})
 
 
-def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
-                          m_y: int = Y_GRID_N) -> SymbolCurve:
+def toeplitz_symbol_curve(a: PCSymbol, p) -> SymbolCurve:
     """Closed oriented curve of the Toeplitz symbol of a on H^p.
 
     The image of a along the counterclockwise circle, with the arc from
@@ -635,23 +630,21 @@ def toeplitz_symbol_curve(a: PCSymbol, p, n_t: int = GRID_N,
         lv, rv = sides[theta]
         return lv * (1.0 - nus) + rv * nus
 
-    return _assemble_closed_curve(sides, lambda thetas: evaluate_array(a, thetas), arc_vals,
-                                  p, n_t, m_y)
+    return _assemble_closed_curve(sides, lambda thetas: evaluate_array(a, thetas), arc_vals, p)
 
 
-def _toeplitz_index(a: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
-                    route: str) -> Optional[IndexResult]:
+def _toeplitz_index(a: PCSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
     return _index(
         lambda: exact_index(_jump_table(a), _single_term(a), _scalar_arc, p, min_modulus_tol),
-        lambda nt, my: toeplitz_symbol_curve(a, p, nt, my), n_t, m_y, min_modulus_tol, route)
+        lambda: toeplitz_symbol_curve(a, p), min_modulus_tol, route)
 
 
-def toeplitz_index(a: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
+def toeplitz_index(a: PCSymbol, p, *,
                    min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
     """Fredholmness and index of T(a) on H^p: index = -winding of the curve,
     in closed form when :func:`exact_index` decides, from the sampled curve
     otherwise."""
-    return _toeplitz_index(a, p, n_t, m_y, min_modulus_tol, AUTO)
+    return _toeplitz_index(a, p, min_modulus_tol, AUTO)
 
 
 def critical_exponents(a: PCSymbol) -> list[float]:
@@ -679,8 +672,7 @@ def _det(m: np.ndarray) -> np.ndarray:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def matrix_symbol_curve(u: MatrixSymbol, p, n_t: int = GRID_N,
-                        m_y: int = Y_GRID_N) -> SymbolCurve:
+def matrix_symbol_curve(u: MatrixSymbol, p) -> SymbolCurve:
     """Determinant curve of the arc-interpolated 2x2 matrix symbol.
 
     Along continuous stretches the value is det U(t) = a(t)/a(1/t); at each
@@ -695,23 +687,22 @@ def matrix_symbol_curve(u: MatrixSymbol, p, n_t: int = GRID_N,
         return _det((1.0 - nus) * ml[..., None] + nus * mr[..., None])
 
     sides = {theta: (_det(ml), _det(mr)) for theta, (ml, mr) in matrices.items()}
-    return _assemble_closed_curve(sides, u.determinant, arc_vals, p, n_t, m_y)
+    return _assemble_closed_curve(sides, u.determinant, arc_vals, p)
 
 
-def _matrix_index(u: MatrixSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
-                  route: str) -> Optional[IndexResult]:
+def _matrix_index(u: MatrixSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
     return _index(
         lambda: exact_index(u.one_sided(), _quotient_term(u.a), _matrix_arc, p,
                             min_modulus_tol),
-        lambda nt, my: matrix_symbol_curve(u, p, nt, my), n_t, m_y, min_modulus_tol, route)
+        lambda: matrix_symbol_curve(u, p), min_modulus_tol, route)
 
 
-def matrix_toeplitz_index(u: MatrixSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
+def matrix_toeplitz_index(u: MatrixSymbol, p, *,
                           min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
     """Index of the block Toeplitz operator T(U) on (H^p)^2, in closed form
     when :func:`exact_index` decides on the determinant a/~a and the arcs of
     the one-sided matrices, from the sampled determinant curve otherwise."""
-    return _matrix_index(u, p, n_t, m_y, min_modulus_tol, AUTO)
+    return _matrix_index(u, p, min_modulus_tol, AUTO)
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +796,11 @@ def _zoomed_minimum(sweep: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
         values = sweep(ys)
 
 
-def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
-                      m_y: int = Y_GRID_N,
+def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> FredholmCheck:
     """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle."""
-    ys = _y_axis(m_y)
-    weights = _base_weights(_as_exponent(p).p, m_y)
+    ys = _y_axis()
+    weights = _base_weights(_as_exponent(p).p)
     jumps = {pt.angle for pt, _, _ in jump_set(a)} | {pt.angle for pt, _, _ in jump_set(b)}
     special = sy.dedupe_angles(
         {th for th in jumps if 0.0 < th < math.pi}
@@ -825,7 +815,7 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N,
             best = (val, (angle, yv))
 
     # smooth part: no jump at t nor conj(t); determinant is y-independent
-    thetas = np.linspace(0.0, math.pi, max(16, n_t // 2))[1:-1]
+    thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
     mask = np.ones(len(thetas), dtype=bool)
     for th in special:
         mask &= np.abs(thetas - th) > 1e-12
@@ -904,8 +894,7 @@ def _flip_table(g: PCSymbol, b0: PCSymbol) -> MappingProxyType:
     return MappingProxyType({theta: _th_sides(g, b0, theta) for theta in (0.0, math.pi)})
 
 
-def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
-                       m_y: int = Y_GRID_N) -> SymbolCurve:
+def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p) -> SymbolCurve:
     """Curve of the scalar symbol of T(g) + H(b0), g and b0 continuous off +-1.
 
     The image of g along the circle, with the scalar symbol of th_symbol
@@ -918,7 +907,7 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p, n_t: int = GRID_N,
     return _assemble_closed_curve({theta: sides[:2] for theta, sides in table.items()},
                                   lambda thetas: evaluate_array(g, thetas),
                                   lambda theta, nu, h: _th_symbol_from(table[theta], theta, nu, h),
-                                  p, n_t, m_y)
+                                  p)
 
 
 @lru_cache(maxsize=64)
@@ -929,10 +918,10 @@ def _th_parts(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol, MatrixSymbo
     return g, b0, build_u_matrix_general(a * g_inv, (b - b0) * g_inv)
 
 
-def _th_index(a: PCSymbol, b: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: float,
+def _th_index(a: PCSymbol, b: PCSymbol, p, min_modulus_tol: float,
               check: Optional[FredholmCheck], route: str) -> Optional[int]:
     if check is None:
-        check = th_fredholm_check(a, b, p, n_t, m_y, min_modulus_tol)
+        check = th_fredholm_check(a, b, p, min_modulus_tol=min_modulus_tol)
     if not check.fredholm:
         raise NotFredholm(
             f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
@@ -942,16 +931,15 @@ def _th_index(a: PCSymbol, b: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: 
     try:
         pc = _index(lambda: exact_index(_flip_table(g, b0), _single_term(g), _flip_arc, p,
                                         min_modulus_tol),
-                    lambda nt, my: th_pc_symbol_curve(g, b0, p, nt, my),
-                    n_t, m_y, min_modulus_tol, route)
+                    lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
         if pc is None:
             return None
         if not pc.fredholm:
             raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
                               f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
         # AUTO goes through the public name, which the benchmark's traced runs count
-        res_u1 = (matrix_toeplitz_index(u1, p, n_t, m_y, min_modulus_tol) if route == AUTO
-                  else _matrix_index(u1, p, n_t, m_y, min_modulus_tol, route))
+        res_u1 = (matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol) if route == AUTO
+                  else _matrix_index(u1, p, min_modulus_tol, route))
         if res_u1 is None:
             return None
         ind_u1 = res_u1.require()
@@ -963,8 +951,7 @@ def _th_index(a: PCSymbol, b: PCSymbol, p, n_t: int, m_y: int, min_modulus_tol: 
     return pc.index + ind_u1 // 2
 
 
-def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N,
-             min_modulus_tol: float = WINDING_MIN_MODULUS,
+def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MIN_MODULUS,
              check: Optional[FredholmCheck] = None) -> int:
     """Index of the Fredholm operator T(a) + H(b) on H^p.
 
@@ -985,4 +972,4 @@ def th_index(a: PCSymbol, b: PCSymbol, p, n_t: int = GRID_N, m_y: int = Y_GRID_N
     ``check`` is the th_fredholm_check of (a, b) when the caller already
     has it.
     """
-    return _th_index(a, b, p, n_t, m_y, min_modulus_tol, check, AUTO)
+    return _th_index(a, b, p, min_modulus_tol, check, AUTO)

@@ -158,13 +158,13 @@ def _verify_checks(seed: int):
     checks.append(("idempotent factorization identity",
                    worst_idem < 1e-12, f"max err {worst_idem:.2e}"))
 
-    nus, _ = weight_functions(2.0, y_grid(257))
+    nus, _ = weight_functions(2.0, y_grid())
     seg_ok = float(np.max(np.abs(nus.imag))) < 1e-12
     checks.append(("p=2 arc weights are real (segment case)", seg_ok,
                    f"max |Im nu| {np.max(np.abs(nus.imag)):.2e}"))
     parity = 0.0
     for p in (1.2, 2.0, 4.0):
-        _, finite = weight_functions(p, y_grid(257))
+        _, finite = weight_functions(p, y_grid())
         parity = max(parity, float(np.max(np.abs(finite.real + finite.real[::-1]))),
                      float(np.max(np.abs(finite.imag - finite.imag[::-1]))))
     checks.append(("jump weight parity (odd real part, even imaginary part)",

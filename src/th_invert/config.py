@@ -239,8 +239,11 @@ def parse_config(text: str) -> AnalysisConfig:
         raise ValidationError("field 'p_values' must be a list of numbers")
     p_values = [check_exponent(p) for p in p_values]
 
+    raw_tolerances = raw.get("tolerances", {})
+    if not isinstance(raw_tolerances, dict):
+        raise ValidationError("tolerances must map tolerance names to numbers")
     tolerances = {}
-    for key, val in raw.get("tolerances", {}).items():
+    for key, val in raw_tolerances.items():
         if key not in {f.name for f in fields(Tolerances)}:
             raise ValidationError(f"tolerances: unknown tolerance '{key}'")
         if not _is_real(val) or val <= 0:

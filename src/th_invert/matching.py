@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .defaults import GRID_N, INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
+from .defaults import INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
 from .errors import DivisionBySmallModulus, NotInvertible
 from . import symbols as sym
 from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, PCSymbol, check_invertible,
@@ -121,11 +121,11 @@ class MatchRejection:
     max_residual: float
 
 
-def matching_residual(a: PCSymbol, b: PCSymbol, n: int = GRID_N) -> tuple[float, Optional[complex]]:
+def matching_residual(a: PCSymbol, b: PCSymbol) -> tuple[float, Optional[complex]]:
     """Grid maximum of |a*~a - b*~b| and the constant value of a*~a if constant."""
     lhs = a * sym.tilde(a)
     rhs = b * sym.tilde(b)
-    angles = grid_angles([lhs, rhs], n)
+    angles = grid_angles([lhs, rhs])
     ll, lr = evaluate_both_sides(lhs, angles)
     rl, rr = evaluate_both_sides(rhs, angles)
     residual = float(max(np.max(np.abs(ll - rl)), np.max(np.abs(lr - rr))))
@@ -136,7 +136,7 @@ def matching_residual(a: PCSymbol, b: PCSymbol, n: int = GRID_N) -> tuple[float,
 
 
 def is_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
-                     n: int = GRID_N, invertibility_tol: float = INVERTIBILITY_TOL
+                     invertibility_tol: float = INVERTIBILITY_TOL
                      ) -> Union[MatchingPair, MatchRejection]:
     """Check the matching condition a*~a = b*~b on the grid.
 
@@ -145,9 +145,9 @@ def is_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
     invertible (Fredholmness of T(a)+H(b) presumes invertible a): a grid
     modulus below ``invertibility_tol`` raises NotInvertible.
     """
-    check_invertible(a, invertibility_tol, n)
-    check_invertible(b, invertibility_tol, n)
-    residual, constant = matching_residual(a, b, n)
+    check_invertible(a, invertibility_tol)
+    check_invertible(b, invertibility_tol)
+    residual, constant = matching_residual(a, b)
     if residual >= tol:
         return MatchRejection(residual)
     c = sym.product(a, sym.inverse(b))
@@ -164,10 +164,10 @@ def make_matching_pair(a: PCSymbol, b: PCSymbol, tol: float = MATCHING_TOL,
     return result
 
 
-def is_matching_function(c: PCSymbol, tol: float = MATCHING_TOL, n: int = GRID_N) -> bool:
+def is_matching_function(c: PCSymbol, tol: float = MATCHING_TOL) -> bool:
     """Grid check of c * ~c = 1."""
     prod = c * sym.tilde(c)
-    angles = grid_angles(prod, n)
+    angles = grid_angles(prod)
     left, right = evaluate_both_sides(prod, angles)
     dev = max(np.max(np.abs(left - 1.0)), np.max(np.abs(right - 1.0)))
     return bool(dev < tol)

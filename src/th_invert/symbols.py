@@ -706,9 +706,9 @@ def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, 
     return left, right
 
 
-def check_invertible(sym: PCSymbol, tol: float = INVERTIBILITY_TOL, n: int = GRID_N) -> float:
+def check_invertible(sym: PCSymbol, tol: float = INVERTIBILITY_TOL) -> float:
     """Return the grid minimum modulus, raising if it is below tolerance."""
-    left, right = evaluate_both_sides(sym, grid_angles(sym, n))
+    left, right = evaluate_both_sides(sym, grid_angles(sym))
     m = float(min(np.min(np.abs(left)), np.min(np.abs(right))))
     if m < tol:
         raise NotInvertible(f"minimum modulus {m:.3e} below tolerance {tol:.1e}")

@@ -85,7 +85,7 @@ def test_criterion_2_weight_suite():
         nu_m, h_m = weight_functions(p, -math.inf)
         nu_p, h_p = weight_functions(p, math.inf)
         ok &= (nu_m, h_m, nu_p, h_p) == (0.0, 0.0, 1.0, 0.0)
-    ys = y_grid(257)
+    ys = y_grid()
     for p in (1.2, 2.0, 4.0):
         h = 1.0 / np.sinh(math.pi * (ys + 1j / p))
         parity = max(np.max(np.abs(h.real + h.real[::-1])),

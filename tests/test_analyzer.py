@@ -216,6 +216,17 @@ def test_probe_makes_one_index_call(monkeypatch, quarter_pair):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_probe_read_is_the_index_at_its_exponent(p):
+    # sums decide on the sampled curve, so the read must come from the same
+    # grid as the index that an Analysis at s_used computes
+    a = sy.product(sy.add(Const(2.0), Monomial(1)), PowerArc(0.25))
+    pair = make_matching_pair(a, a * Monomial(1))
+    for symbol in (pair.c, pair.d):
+        res = probe_limit_index(symbol, p)
+        assert res.read == toeplitz_index(symbol, res.s_used)
+
+
 def test_probe_refuses_a_symbol_with_a_continuous_zero():
     # 1 + t vanishes at t = -1 for every exponent
     with pytest.raises(NoFredholmNeighborhood):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from th_invert import symbols as sy
+from th_invert import calculus, symbols as sy
 from th_invert.calculus import (
     AUTO,
     EXACT,
@@ -34,10 +34,10 @@ from th_invert.calculus import (
     winding,
     y_grid,
 )
-from th_invert.defaults import Y_GRID_N
 from th_invert.errors import (
     CurveThroughOrigin,
     DegenerateArc,
+    NonIntegerWinding,
     NotFredholm,
     OutOfDomain,
     PreconditionViolation,
@@ -80,7 +80,7 @@ def test_exponent_validation():
 
 
 def test_h_parity_and_range():
-    ys = y_grid(257)
+    ys = y_grid()
     for p in (1.2, 2.0, 4.0):
         z = math.pi * (ys + 1j / p)
         h = 1.0 / np.sinh(z)
@@ -91,7 +91,7 @@ def test_h_parity_and_range():
 
 def test_h_inequality_strict_off_zero():
     for p in (1.2, 2.0, 4.0):
-        ys = y_grid(257)
+        ys = y_grid()
         h = 1.0 / np.sinh(math.pi * (ys + 1j / p))
         bound = 1.0 / math.sin(math.pi / p)
         mid = len(ys) // 2
@@ -102,7 +102,7 @@ def test_h_inequality_strict_off_zero():
 
 
 def test_h_quadrant_walk():
-    ys = y_grid(257)
+    ys = y_grid()
     for p, reversed_walk in ((1.5, False), (3.0, True)):
         h = 1.0 / np.sinh(math.pi * (ys + 1j / p))
         neg, pos = h[ys < 0], h[ys > 0]
@@ -167,6 +167,15 @@ def test_monomial_curve_windings():
 def test_winding_requires_distance_from_origin():
     curve = toeplitz_symbol_curve(sy.add(Monomial(1), Const(-1.0)), 2.0)
     with pytest.raises(CurveThroughOrigin):
+        winding(curve)
+
+
+def test_winding_refuses_a_step_that_may_cross_the_origin():
+    # the steps sum to a whole turn count (0), but a step of 2.9 rad may
+    # pass either side of the origin: refinement stopped short of resolving it
+    values = np.array([1.0, cmath.exp(2.9j), 1.0])
+    curve = calculus.SymbolCurve(np.zeros(3, dtype=int), np.arange(3.0), values, True, 1.0)
+    with pytest.raises(NonIntegerWinding):
         winding(curve)
 
 
@@ -257,9 +266,9 @@ def test_critical_exponents_match_the_winding(sym):
 
     def index(s):
         # the closed form decides, and the sampled curve agrees with it
-        res = _toeplitz_index(sym, s, 1024, 257, 1e-7, EXACT)
+        res = _toeplitz_index(sym, s, 1e-7, EXACT)
         assert res is not None and res.fredholm, s
-        assert res.index == _toeplitz_index(sym, s, 1024, 257, 1e-7, SAMPLED).index, s
+        assert res.index == _toeplitz_index(sym, s, 1e-7, SAMPLED).index, s
         return res.index
 
     for a, b in zip(edges, edges[1:]):  # constant between critical exponents
@@ -268,8 +277,8 @@ def test_critical_exponents_match_the_winding(sym):
         shared = sum(1 for x in crit if abs(x - s) <= 1e-9 * s)
         assert index(s * (1 - 1e-3)) - index(s * (1 + 1e-3)) == shared
         for near in (s * (1 - 1e-12), s * (1 + 1e-12)):  # both routes see the degeneracy
-            assert not _toeplitz_index(sym, near, 1024, 257, 1e-7, EXACT).fredholm
-            assert not _toeplitz_index(sym, near, 1024, 257, 1e-7, SAMPLED).fredholm
+            assert not _toeplitz_index(sym, near, 1e-7, EXACT).fredholm
+            assert not _toeplitz_index(sym, near, 1e-7, SAMPLED).fredholm
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +467,10 @@ def test_matrix_index_with_steps_in_a_and_b_and_continuous_c():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
 def test_base_arc_weights_are_computed_once_and_exactly(p):
-    nus, hs = _base_weights(p, Y_GRID_N)
-    ref_nus, ref_hs = weight_functions(p, _y_axis(Y_GRID_N))
+    nus, hs = _base_weights(p)
+    ref_nus, ref_hs = weight_functions(p, _y_axis())
     assert np.array_equal(nus, ref_nus) and np.array_equal(hs, ref_hs)
-    assert _base_weights(p, Y_GRID_N)[0] is nus  # shared by every arc
+    assert _base_weights(p)[0] is nus  # shared by every arc
     assert not nus.flags.writeable and not hs.flags.writeable
 
 
@@ -470,7 +479,7 @@ def test_a_jump_next_to_zero_keeps_its_arc(brk):
     # the curve closes the jump at brk with its p-arc: index -1 at p = 7
     a = PiecewiseConst((brk, 1.0), (1.0, cmath.exp(1j)))
     for route in (AUTO, EXACT, SAMPLED):
-        res = _toeplitz_index(a, 7.0, 1024, 257, 1e-7, route)
+        res = _toeplitz_index(a, 7.0, 1e-7, route)
         assert res is None or (res.fredholm, res.index) in ((True, -1), (False, None))
     assert toeplitz_index(a, 7.0).index == -1
 
@@ -481,7 +490,7 @@ def test_a_power_arc_anchored_next_to_one_is_refused_or_indexed():
     for b in (Const(1.0), Const(-1.0)):
         for route in (AUTO, EXACT, SAMPLED):
             try:
-                res = _th_index(a, b, 2.0, 1024, 257, 1e-7, None, route)
+                res = _th_index(a, b, 2.0, 1e-7, None, route)
             except NotFredholm:
                 continue
             assert res is None or isinstance(res, int)
@@ -489,7 +498,7 @@ def test_a_power_arc_anchored_next_to_one_is_refused_or_indexed():
 
 
 def test_y_grid_symmetric_with_zero():
-    ys = y_grid(257)
+    ys = y_grid()
     assert len(ys) == 257
     assert ys[len(ys) // 2] == 0.0
     assert np.max(np.abs(ys + ys[::-1])) < 1e-12
@@ -560,8 +569,8 @@ def _curve_agrees(exact, curve):
 def test_exact_toeplitz_index_matches_the_curve(f, g, p):
     a = sy.product(f, g)  # one exp-linear term
     assume(all(abs(s - p) > 0.02 * p for s in critical_exponents(a)))
-    exact = _toeplitz_index(a, p, 1024, 257, 1e-7, EXACT)
-    _curve_agrees(exact, _toeplitz_index(a, p, 1024, 257, 1e-7, SAMPLED))
+    exact = _toeplitz_index(a, p, 1e-7, EXACT)
+    _curve_agrees(exact, _toeplitz_index(a, p, 1e-7, SAMPLED))
 
 
 @given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
@@ -571,8 +580,8 @@ def test_exact_matrix_index_matches_the_curve(a, b, p):
     from th_invert.matching import build_u_matrix_general
 
     u = build_u_matrix_general(a, b)
-    exact = _matrix_index(u, p, 1024, 257, 1e-7, EXACT)
-    curve = _matrix_index(u, p, 1024, 257, 1e-7, SAMPLED)
+    exact = _matrix_index(u, p, 1e-7, EXACT)
+    curve = _matrix_index(u, p, 1e-7, SAMPLED)
     assume(curve.min_modulus > 1e-3)  # away from the exponents where an arc degenerates
     _curve_agrees(exact, curve)
 
@@ -587,7 +596,7 @@ def test_exact_th_index_matches_the_curves(a, b, p):
 
     def index(route):
         try:
-            return _th_index(a, b, p, 1024, 257, 1e-7, check, route)
+            return _th_index(a, b, p, 1e-7, check, route)
         except NotFredholm:
             return "not Fredholm"
 
@@ -629,6 +638,29 @@ def test_exact_index_decides_only_outside_the_grey_band(kind):
 
 def test_grey_band_toeplitz_index_falls_back_to_the_curve():
     a = PiecewiseConst((0.0, math.pi), (1.0, -2.0 + 9e-8j))
-    assert _toeplitz_index(a, 2.0, 1024, 257, 1e-7, EXACT) is None
+    assert _toeplitz_index(a, 2.0, 1e-7, EXACT) is None
     res = toeplitz_index(a, 2.0)
     assert not res.fredholm and res.min_modulus <= 1e-7
+
+
+def test_a_sampled_index_builds_one_curve(monkeypatch):
+    from th_invert.matching import build_u_matrix, make_matching_pair
+
+    # the closed form declines for sums, so each index reads its sampled curve
+    builds = {}
+    for name in ("toeplitz_symbol_curve", "matrix_symbol_curve", "th_pc_symbol_curve"):
+        def spy(*args, _name=name, _build=getattr(calculus, name)):
+            builds[_name] = builds.get(_name, 0) + 1
+            return _build(*args)
+
+        monkeypatch.setattr(calculus, name, spy)
+    a = sy.add(Const(3.0), Monomial(1))
+    pair = make_matching_pair(a, a * Monomial(-1))
+    assert toeplitz_index(a, 3.0).index == 0
+    assert builds == {"toeplitz_symbol_curve": 1}
+    builds.clear()
+    assert matrix_toeplitz_index(build_u_matrix(pair), 3.0).fredholm
+    assert builds == {"matrix_symbol_curve": 1}
+    builds.clear()
+    assert isinstance(_th_index(pair.a, pair.b, 3.0, 1e-7, None, SAMPLED), int)
+    assert builds == {"th_pc_symbol_curve": 1, "matrix_symbol_curve": 1}

@@ -290,8 +290,9 @@ _B_FACTORS = ("symbols", "b", "factors")
     (_edited(HALF_PLANE_CONFIG, ("symbols", "b", "break_angles"), [math.pi, 0.0]), "symbols.b"),
     (_edited(HALF_PLANE_CONFIG, ("symbols", "b", "values"), [1.0]), "symbols.b"),
     (_edited(QUARTER_CONFIG, ("tolerances",), {"winding": True}), "tolerances.winding"),
+    (_edited(QUARTER_CONFIG, ("tolerances",), [1e-9]), "tolerances"),
 ], ids=["n-float", "n-bool", "n-string", "re-string", "im-nan", "im-huge", "anchor-string",
-        "breaks-unsorted", "values-short", "tolerance-bool"])
+        "breaks-unsorted", "values-short", "tolerance-bool", "tolerances-list"])
 def test_analyze_rejects_malformed_numbers_as_config_errors(tmp_path, capsys, cfg, where):
     assert _analyze(tmp_path, cfg, "bad") == (2, None)
     assert not (tmp_path / "bad-report.json").exists()
