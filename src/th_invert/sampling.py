@@ -53,7 +53,8 @@ def random_invertible_symbol(rng: np.random.Generator) -> PCSymbol:
     if rng.random() < 0.4:
         b1, b2 = np.sort(rng.uniform(0.1, 2 * math.pi - 0.1, size=2))
         if b2 - b1 < 0.1:
-            b2 = b1 + 0.2
+            # widen to 0.2 without passing 2 pi, where the breaks would wrap
+            b1, b2 = (b1, b1 + 0.2) if b1 + 0.2 < 2 * math.pi else (b2 - 0.2, b2)
         v1 = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * rng.uniform(0.6, 1.6)
         v2 = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * rng.uniform(0.6, 1.6)
         factors.append(PiecewiseConst((float(b1), float(b2)), (v1, v2)))

@@ -939,9 +939,6 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
         bound = 0.0
         eps = tol / max(1, 8 * (len(panels) - 1))
         for a0, a1 in zip(panels[:-1], panels[1:]):
-            if a1 - a0 < 1e-11:
-                continue
-
             def f(theta, _a0=a0, _a1=a1):
                 # quadrature rules may evaluate at panel edges: use the side
                 # whose limit belongs to this panel
@@ -957,7 +954,12 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
             def f_im(theta):
                 return f(theta).imag
 
-            if abs(n) <= 48:
+            if a1 - a0 < 1e-11:
+                # too short for the adaptive rules: one midpoint, whose error
+                # is far below tol, instead of dropping up to |f| * 1e-11
+                mid = 0.5 * (a0 + a1)
+                total += f(mid) * cmath.exp(-1j * n * mid) * (a1 - a0)
+            elif abs(n) <= 48:
                 # moderately oscillatory: plain adaptive quadrature certifies
                 # tighter bounds than the oscillatory-weight rules, whose
                 # error estimates stall near resonant frequencies
