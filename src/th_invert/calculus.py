@@ -927,25 +927,20 @@ def _th_index(a: PCSymbol, b: PCSymbol, p, min_modulus_tol: float,
             f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
             f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
     g, b0, u1 = _th_parts(a, b)
-
-    try:
-        pc = _index(lambda: exact_index(_flip_table(g, b0), _single_term(g), _flip_arc, p,
-                                        min_modulus_tol),
-                    lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
-        if pc is None:
-            return None
-        if not pc.fredholm:
-            raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
-                              f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
-        # AUTO goes through the public name, which the benchmark's traced runs count
-        res_u1 = (matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol) if route == AUTO
-                  else _matrix_index(u1, p, min_modulus_tol, route))
-        if res_u1 is None:
-            return None
-        ind_u1 = res_u1.require()
-    except CurveThroughOrigin as exc:
-        # adaptive sampling found a closer origin approach than the check grid
-        raise NotFredholm(f"borderline symbol degeneracy: {exc}") from exc
+    pc = _index(lambda: exact_index(_flip_table(g, b0), _single_term(g), _flip_arc, p,
+                                    min_modulus_tol),
+                lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
+    if pc is None:
+        return None
+    if not pc.fredholm:
+        raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
+                          f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
+    # AUTO goes through the public name, which the benchmark's traced runs count
+    res_u1 = (matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol) if route == AUTO
+              else _matrix_index(u1, p, min_modulus_tol, route))
+    if res_u1 is None:
+        return None
+    ind_u1 = res_u1.require()
     if ind_u1 % 2 != 0:
         raise NotFredholm(f"matrix index {ind_u1} is odd; symbol data inconsistent")
     return pc.index + ind_u1 // 2

@@ -1,8 +1,12 @@
 """Config ingestion: the JSON expression grammar and analysis settings.
 
-The grammar mirrors the public symbol primitives one-to-one; angles are in
-radians and complex numbers are objects {"re": x, "im": y} (bare reals are
-accepted where convenient).
+The grammar has one op per public symbol primitive, plus "sum",
+"product", "inverse", "tilde" and "conjugate"; angles are in radians and
+complex numbers are objects {"re": x, "im": y} (bare reals are accepted
+where convenient).  Symbols have no tilde or conjugate node: those two ops
+are applied on decoding, by the exact rewrites of :func:`symbols.tilde` and
+:func:`symbols.conjugate`, so :func:`encode_symbol` writes the rewritten
+symbol.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ from .defaults import (
     SV_THRESHOLD,
     WINDING_MIN_MODULUS,
 )
-from .errors import ParseError, PreconditionViolation, ValidationError
+from .errors import DivisionBySmallModulus, ParseError, PreconditionViolation, ValidationError
 from .symbols import (
     CirclePoint,
-    Conjugate,
     Const,
     HalfCircleExtension,
     Inverse,
@@ -31,7 +34,8 @@ from .symbols import (
     PowerArc,
     Product,
     Sum,
-    Tilde,
+    conjugate,
+    tilde,
 )
 
 
@@ -91,12 +95,13 @@ def _complex_to(z: complex):
 def decode_symbol(obj, where: str = "symbol") -> PCSymbol:
     """Expression grammar -> symbol tree.
 
-    Every malformed node, including one that a symbol constructor refuses,
-    raises ValidationError naming its path.
+    Every malformed node, including one that a symbol constructor refuses
+    (a tilde or conjugate of an inverse of zero among them), raises
+    ValidationError naming its path.
     """
     try:
         return _decode_node(obj, where)
-    except PreconditionViolation as exc:
+    except (PreconditionViolation, DivisionBySmallModulus) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -105,18 +110,16 @@ def _decode_node(obj, where: str) -> PCSymbol:
         raise ValidationError(f"{where}: expected an object with an 'op' field")
     op = obj["op"]
 
-    def need(*fields):
-        extra = set(obj) - {"op", *fields}
+    def need(*required, optional=()):
+        extra = set(obj) - {"op", *required, *optional}
         if extra:
             raise ValidationError(f"{where}: unknown fields {sorted(extra)} for op '{op}'")
-        for f in fields:
+        for f in required:
             if f not in obj:
                 raise ValidationError(f"{where}: op '{op}' requires field '{f}'")
 
     if op == "const":
-        extra = set(obj) - {"op", "re", "im"}
-        if extra:
-            raise ValidationError(f"{where}: unknown fields {sorted(extra)} for op 'const'")
+        need(optional=("re", "im"))
         return Const(_complex_from({k: obj[k] for k in ("re", "im") if k in obj}, where))
     if op == "monomial":
         need("n")
@@ -125,12 +128,8 @@ def _decode_node(obj, where: str) -> PCSymbol:
             raise ValidationError(f"{where}.n: expected an integer, got {n!r}")
         return Monomial(n)
     if op == "power_arc":
-        extra = set(obj) - {"op", "beta", "anchor_angle"}
-        if extra:
-            raise ValidationError(f"{where}: unknown fields {sorted(extra)} for op 'power_arc'")
-        beta = _complex_from(obj["beta"], f"{where}.beta") if "beta" in obj else None
-        if beta is None:
-            raise ValidationError(f"{where}: op 'power_arc' requires field 'beta'")
+        need("beta", optional=("anchor_angle",))
+        beta = _complex_from(obj["beta"], f"{where}.beta")
         anchor = CirclePoint(_real(obj.get("anchor_angle", 0.0), f"{where}.anchor_angle"))
         return PowerArc(beta, anchor)
     if op == "piecewise_const":
@@ -154,7 +153,7 @@ def _decode_node(obj, where: str) -> PCSymbol:
     if op in ("inverse", "conjugate", "tilde"):
         need("child")
         child = decode_symbol(obj["child"], f"{where}.child")
-        return {"inverse": Inverse, "conjugate": Conjugate, "tilde": Tilde}[op](child)
+        return {"inverse": Inverse, "conjugate": conjugate, "tilde": tilde}[op](child)
     raise ValidationError(f"{where}: unknown op '{op}'")
 
 
@@ -179,10 +178,6 @@ def encode_symbol(symbol: PCSymbol) -> dict:
         return {"op": "product", "factors": [encode_symbol(f) for f in symbol.factors]}
     if isinstance(symbol, Inverse):
         return {"op": "inverse", "child": encode_symbol(symbol.child)}
-    if isinstance(symbol, Conjugate):
-        return {"op": "conjugate", "child": encode_symbol(symbol.child)}
-    if isinstance(symbol, Tilde):
-        return {"op": "tilde", "child": encode_symbol(symbol.child)}
     raise ValidationError(f"{type(symbol).__name__} has no config-grammar encoding")
 
 

@@ -91,9 +91,14 @@ def hankel_matrix(b: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSec
 
 def th_section(a: PCSymbol, b: PCSymbol, sign: int, n: int,
                tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
-    """Section of T(a) + sign * H(b)."""
-    return FiniteSectionMatrix(
-        toeplitz_matrix(a, n, tol).entries + sign * hankel_matrix(b, n, tol).entries)
+    """Section of T(a) + sign * H(b), summed in place."""
+    entries = toeplitz_matrix(a, n, tol).entries
+    hankel = hankel_matrix(b, n, tol).entries
+    if sign > 0:
+        entries += hankel
+    else:
+        entries -= hankel
+    return FiniteSectionMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

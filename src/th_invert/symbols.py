@@ -7,10 +7,10 @@ constants, half-circle extensions, and the internal exp-linear arcs
 inversion, complex conjugation and the substitution t -> 1/t (written
 ``~a`` below and called the tilde).
 
-Every sum, product, tilde and conjugate of the primitives, and of inverses
-and half-circle extensions of single terms, is a sum of piecewise
-exp-linear terms, each c_j * exp(i lam_j theta) on the arcs between its
-breaks (:func:`_exp_terms`).  The terms give vectorized evaluation, one
+Every sum and product of the primitives, and of inverses and half-circle
+extensions of single terms, is a sum of piecewise exp-linear terms, each
+c_j * exp(i lam_j theta) on the arcs between its breaks
+(:func:`_exp_terms`).  The terms give vectorized evaluation, one
 lookup per term, and Fourier coefficients in closed form, one integral per
 arc (exactly c or 0 for a term c * t^k).  Inverses of sums such as
 ``1/(3 + t)``, and what is built on them, are evaluated node by node and
@@ -22,7 +22,9 @@ the tree at the breaks, where alone a symbol can jump (:func:`evaluate_sides`).
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
 :func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
 the merging of two power arcs with the same anchor, so derived symbols
-keep closed-form coefficients whenever possible.
+keep closed-form coefficients whenever possible.  The tilde and the
+conjugate have no node of their own: they are rewritten down to the
+leaves, so every tree holds only primitives, sums, products and inverses.
 """
 
 from __future__ import annotations
@@ -127,15 +129,6 @@ class PCSymbol:
 
     def __neg__(self):
         return product(Const(-1.0), self)
-
-    def inv(self) -> "PCSymbol":
-        return inverse(self)
-
-    def tilde(self) -> "PCSymbol":
-        return tilde(self)
-
-    def conj(self) -> "PCSymbol":
-        return conjugate(self)
 
 
 def _as_symbol(x) -> PCSymbol:
@@ -253,16 +246,6 @@ class Inverse(PCSymbol):
     child: PCSymbol
 
 
-@dataclass(frozen=True)
-class Conjugate(PCSymbol):
-    child: PCSymbol
-
-
-@dataclass(frozen=True)
-class Tilde(PCSymbol):
-    child: PCSymbol
-
-
 # ---------------------------------------------------------------------------
 # smart constructors (exact rewrites only)
 # ---------------------------------------------------------------------------
@@ -369,12 +352,6 @@ def inverse(sym: PCSymbol) -> PCSymbol:
         return product(*(inverse(f) for f in sym.factors))
     if isinstance(sym, Inverse):
         return sym.child
-    if isinstance(sym, Tilde):
-        return tilde(inverse(sym.child))
-    if isinstance(sym, Conjugate):
-        inner = inverse(sym.child)
-        # conjugate(Inverse(x)) rewrites to inverse(Conjugate(x)): stop here
-        return Inverse(sym) if isinstance(inner, Inverse) else conjugate(inner)
     return Inverse(sym)
 
 
@@ -400,10 +377,6 @@ def tilde(sym: PCSymbol) -> PCSymbol:
         return product(*(tilde(f) for f in sym.factors))
     if isinstance(sym, Inverse):
         return inverse(tilde(sym.child))
-    if isinstance(sym, Conjugate):
-        return Conjugate(tilde(sym.child))
-    if isinstance(sym, Tilde):
-        return sym.child
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -431,17 +404,15 @@ def conjugate(sym: PCSymbol) -> PCSymbol:
     if isinstance(sym, ExpArcs):
         return ExpArcs(sym.breaks, tuple(v.conjugate() for v in sym.c),
                        tuple(-v.conjugate() for v in sym.lam))
+    if isinstance(sym, HalfCircleExtension):
+        return HalfCircleExtension(conjugate(sym.g0))  # conj(1/g0(conj t)) = 1/conj(g0)(conj t)
     if isinstance(sym, Sum):
         return add(*(conjugate(t) for t in sym.terms))
     if isinstance(sym, Product):
         return product(*(conjugate(f) for f in sym.factors))
     if isinstance(sym, Inverse):
         return inverse(conjugate(sym.child))
-    if isinstance(sym, Conjugate):
-        return sym.child
-    if isinstance(sym, Tilde):
-        return Tilde(conjugate(sym.child))
-    return Conjugate(sym)
+    raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
 def power_arc(beta: complex, anchor: CirclePoint | float = POINT_ONE) -> PCSymbol:
@@ -517,10 +488,6 @@ def _eval(sym: PCSymbol, theta: float, side: str) -> complex:
             raise DivisionBySmallModulus(f"modulus {abs(v):.3e} below tolerance "
                                          f"{INVERTIBILITY_TOL:.1e} at angle {theta:.6f} ({side})")
         return 1.0 / v
-    if isinstance(sym, Conjugate):
-        return _eval(sym.child, theta, side).conjugate()
-    if isinstance(sym, Tilde):
-        return _eval(sym.child, _canonical_angle(-theta), _flip(side))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -606,10 +573,6 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
         if v.size and np.min(np.abs(v)) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("modulus below tolerance in vectorized inverse")
         return 1.0 / v
-    if isinstance(sym, Conjugate):
-        return np.conj(evaluate_array(sym.child, thetas))
-    if isinstance(sym, Tilde):
-        return evaluate_array(sym.child, np.mod(-thetas, TWO_PI))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -635,10 +598,8 @@ def _breaks(sym: PCSymbol) -> set[float]:
         return {math.pi} | inner | {_canonical_angle(-a) for a in inner}
     if isinstance(sym, (Sum, Product)):
         return set().union(*map(_breaks, sym.terms if isinstance(sym, Sum) else sym.factors))
-    if isinstance(sym, (Inverse, Conjugate)):
+    if isinstance(sym, Inverse):
         return _breaks(sym.child)
-    if isinstance(sym, Tilde):
-        return {_canonical_angle(-a) for a in _breaks(sym.child)}
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -664,19 +625,20 @@ def _one_sided_at_breaks(sym: PCSymbol) -> tuple:
 
 
 @lru_cache(maxsize=50_000)
-def _jump_set_cached(sym: PCSymbol, tol: float):
-    return tuple((CirclePoint(angle), left, right)
-                 for angle, left, right in _one_sided_at_breaks(sym) if abs(left - right) > tol)
+def _jump_set_cached(sym: PCSymbol):
+    return tuple((CirclePoint(angle), left, right) for angle, left, right
+                 in _one_sided_at_breaks(sym) if abs(left - right) > JUMP_TOL)
 
 
-def jump_set(sym: PCSymbol, tol: float = JUMP_TOL):
-    """Jump points with one-sided values, sorted by angle.
+def jump_set(sym: PCSymbol):
+    """Jump points with one-sided values, sorted by angle: the breaks where
+    the one-sided limits differ by more than JUMP_TOL.
 
     The points +-1 are always probed; they play a distinguished role for
     Hankel operators (the only fixed points of the flip).  Results are
     cached per symbol (symbols are immutable).
     """
-    return list(_jump_set_cached(sym, float(tol)))
+    return list(_jump_set_cached(sym))
 
 
 def grid_angles(syms: Iterable[PCSymbol] | PCSymbol, n: int = GRID_N) -> np.ndarray:
@@ -796,6 +758,18 @@ def _reflected(p: ExpPieces) -> ExpPieces:
     return _pieces(TWO_PI - p.breaks[::-1], (p.c * phase)[::-1], -p.lam[::-1])
 
 
+def _inverted(p: ExpPieces) -> ExpPieces:
+    """The term 1/p, refused with DivisionBySmallModulus where ``evaluate``
+    would: |c * exp(i lam theta)| is monotone on each arc, so its minimum is
+    at an arc end."""
+    modulus = np.abs(p.c) * np.minimum(np.exp(-p.lam.imag * p.breaks[:-1]),
+                                       np.exp(-p.lam.imag * p.breaks[1:]))
+    if np.min(modulus) < INVERTIBILITY_TOL:
+        raise DivisionBySmallModulus(
+            f"modulus {np.min(modulus):.3e} below tolerance {INVERTIBILITY_TOL:.1e}")
+    return _pieces(p.breaks, 1.0 / p.c, -p.lam)
+
+
 def _merged(terms) -> tuple[ExpPieces, ...]:
     """Terms with equal breaks and lam added up, in order of first appearance."""
     out = {}
@@ -817,9 +791,8 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
 
     Sums concatenate their terms and products distribute over them, one
     factor at a time, with like terms merged after each step.  An
-    inverse or a half-circle extension needs a child of exactly one term.
-    An inverse raises DivisionBySmallModulus where ``evaluate`` would: |c * exp(i lam
-    theta)| is monotone on each arc, so its minimum is at an arc end.
+    inverse or a half-circle extension needs a child of exactly one term,
+    and raises DivisionBySmallModulus where ``evaluate`` would (:func:`_inverted`).
     """
     if isinstance(sym, Const):
         return (_pieces([0.0, TWO_PI], [sym.value], [0.0]),)
@@ -855,26 +828,12 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
         return terms
     if isinstance(sym, Inverse):
         p = _exp_pieces(sym.child)
-        if p is None:
-            return None
-        modulus = np.abs(p.c) * np.minimum(np.exp(-p.lam.imag * p.breaks[:-1]),
-                                           np.exp(-p.lam.imag * p.breaks[1:]))
-        if np.min(modulus) < INVERTIBILITY_TOL:
-            raise DivisionBySmallModulus(
-                f"modulus {np.min(modulus):.3e} below tolerance {INVERTIBILITY_TOL:.1e}")
-        return (_pieces(p.breaks, 1.0 / p.c, -p.lam),)
-    if isinstance(sym, Tilde):
-        terms = _exp_terms(sym.child)
-        return None if terms is None else tuple(_reflected(p) for p in terms)
-    if isinstance(sym, Conjugate):
-        terms = _exp_terms(sym.child)
-        return None if terms is None else tuple(
-            _pieces(p.breaks, p.c.conj(), -p.lam.conj()) for p in terms)
+        return None if p is None else (_inverted(p),)
     if isinstance(sym, HalfCircleExtension):
         upper = _exp_pieces(sym.g0)
         if upper is None:
             return None
-        lower = _exp_pieces(Inverse(Tilde(sym.g0)))
+        lower = _inverted(_reflected(upper))  # 1/g0(conj t)
         breaks, mid = _common_arcs(upper.breaks, lower.breaks, [math.pi])
         (uc, ulam), (lc, llam) = _pieces_at(upper, mid), _pieces_at(lower, mid)
         top = mid < math.pi

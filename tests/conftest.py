@@ -103,10 +103,6 @@ def tree_evaluate_array(sym: PCSymbol, thetas) -> np.ndarray:
         if v.size and np.min(np.abs(v)) < INVERTIBILITY_TOL:
             raise DivisionBySmallModulus("modulus below tolerance")
         return 1.0 / v
-    if isinstance(sym, sy.Conjugate):
-        return np.conj(tree_evaluate_array(sym.child, thetas))
-    if isinstance(sym, sy.Tilde):
-        return tree_evaluate_array(sym.child, np.mod(-thetas, TWO_PI))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 

@@ -251,6 +251,19 @@ def test_classify_with_probing_half_plane_at_two(half_plane_pair):
     assert rep.operators[PLUS_KEY].classification == "not_fredholm"
 
 
+def test_classify_with_probing_rule_for_nonnegative_limit_indices():
+    # c = 1 and d = a/~a with a the inverted quarter twist: T(d) is not
+    # Fredholm at p = 2, and both limit indices are 0
+    rep = classify_with_probing(quarter_twist_pair(0).inverse_pair(), 2.0)
+    assert rep.probing.limit_indices == (0, 0)
+    plus = rep.operators[PLUS_KEY]
+    assert plus.classification == "invertible"
+    assert (plus.index, plus.kernel_dim, plus.cokernel_dim) == (0, 0, 0)
+    assert ("rule: both limit indices >= 0, so T(a)+H(b) is right-invertible at p"
+            in rep.evidence)
+    assert rep.operators[MINUS_KEY].classification == "not_fredholm"
+
+
 def test_classify_with_probing_passthrough(quarter_pair):
     rep = classify_with_probing(quarter_pair, 1.5)
     assert rep.operators[PLUS_KEY].classification == "invertible"

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from th_invert import symbols as sy
 from th_invert.cli import main
 from th_invert.config import decode_symbol, encode_symbol, parse_config
 from th_invert.errors import ParseError, ValidationError
@@ -69,6 +70,11 @@ NON_MATCHING_CONFIG = {
 }
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _golden(name: str) -> bytes:
+    with open(os.path.join(DATA, name), "rb") as fh:
+        return fh.read()
 
 
 @pytest.fixture
@@ -149,6 +155,31 @@ def test_grammar_covers_all_primitives():
     assert decode_symbol(encode_symbol(sym)) == sym
 
 
+_HALF_CIRCLE = {"op": "half_circle_extension",
+                "g0": {"op": "power_arc", "beta": 0.25, "anchor_angle": 1.0}}
+_REWRITTEN_CHILDREN = {
+    "product": QUARTER_CONFIG["symbols"]["b"],
+    "piecewise_const": HALF_PLANE_CONFIG["symbols"]["b"],
+    "inverse-sum": _INV_SUM,
+    "half_circle": _HALF_CIRCLE,
+    "inverse-half_circle": {"op": "inverse", "child": _HALF_CIRCLE},
+}
+
+
+@pytest.mark.parametrize("op", ["tilde", "conjugate"])
+@pytest.mark.parametrize("child", _REWRITTEN_CHILDREN.values(), ids=_REWRITTEN_CHILDREN.keys())
+def test_tilde_and_conjugate_decode_to_their_rewrites(op, child):
+    sym = decode_symbol({"op": op, "child": child})
+    assert sym == getattr(sy, op)(decode_symbol(child))
+    assert decode_symbol(encode_symbol(sym)) == sym
+
+
+def test_a_rewrite_that_inverts_zero_is_a_config_error():
+    zero = {"op": "inverse", "child": {"op": "const"}}
+    with pytest.raises(ValidationError, match="symbols.a: inverse of the zero constant"):
+        decode_symbol({"op": "tilde", "child": zero}, "symbols.a")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -184,16 +215,23 @@ def test_curve_command_minimum_modulus(config_path, tmp_path):
 
 
 def test_verify_command_passes(tmp_path):
-    out = str(tmp_path / "verify.txt")
-    assert main(["verify", "--out", out, "--seed", "0"]) == 0
-    text = open(out).read()
-    assert "FAIL" not in text
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out), "--seed", "0"]) == 0
+    assert "FAIL" not in out.read_text()
+    assert out.read_bytes() == _golden("verify_seed0.txt")
+
+
+def test_verify_seed_1_matches_golden_file(tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out), "--seed", "1"]) == 0
+    assert out.read_bytes() == _golden("verify_seed1.txt")
 
 
 def test_selftest_command_passes(tmp_path):
-    out = str(tmp_path / "selftest.txt")
-    assert main(["selftest", "--out", out]) == 0
-    assert "FAIL" not in open(out).read()
+    out = tmp_path / "selftest.txt"
+    assert main(["selftest", "--out", str(out)]) == 0
+    assert "FAIL" not in out.read_text()
+    assert out.read_bytes() == _golden("selftest.txt")
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -304,8 +342,20 @@ def test_analyze_rejects_malformed_numbers_as_config_errors(tmp_path, capsys, cf
 def test_analyze_report_matches_golden_file(tmp_path, name, cfg):
     code, text = _analyze(tmp_path, cfg, name)
     assert code == 0
-    with open(os.path.join(DATA, f"{name}.json"), "rb") as fh:
-        assert text.encode() == fh.read()
+    assert text.encode() == _golden(f"{name}.json")
+
+
+def _twice(op, expr):
+    return {"op": op, "child": {"op": op, "child": expr}}
+
+
+def test_double_tilde_and_conjugate_analyze_like_the_plain_config(tmp_path):
+    # decoding rewrites conjugate(conjugate(x)) and tilde(tilde(x)) back to x
+    arc, mono = QUARTER_CONFIG["symbols"]["b"]["factors"]
+    cfg = _edited(QUARTER_CONFIG, _B_FACTORS, [_twice("conjugate", arc), _twice("tilde", mono)])
+    code, text = _analyze(tmp_path, cfg, "twice")
+    assert code == 0
+    assert text.encode() == _golden("analyze_quarter.json")
 
 
 # ---------------------------------------------------------------------------
