@@ -28,7 +28,6 @@ refined adaptively wherever a step turns too far about the origin.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ from .defaults import (
 from .errors import (
     CurveThroughOrigin,
     DegenerateArc,
-    DivisionBySmallModulus,
     NonIntegerWinding,
     NotFredholm,
     OutOfDomain,
@@ -500,18 +498,9 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     return _Arc(gl, gr, turn, bound, nearest)
 
 
-def _single_term(symbol: PCSymbol) -> Optional[sy.ExpPieces]:
-    """The symbol as one exp-linear term; None when it is a sum, or when an
-    inverse in it comes too close to 0."""
-    try:
-        return sy._exp_pieces(symbol)
-    except DivisionBySmallModulus:
-        return None
-
-
 def _quotient_term(a: PCSymbol) -> Optional[sy.ExpPieces]:
     """a/~a as one exp-linear term, from the term of a and its reflection."""
-    term = _single_term(a)
+    term = sy.single_term(a)
     if term is None or not np.all(np.abs(term.c) >= INVERTIBILITY_TOL):
         return None
     mirror = sy._reflected(term)
@@ -526,11 +515,11 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
     at each angle of the jump table ``jumps``; ``arc(entry, angle, p, tol)``
     is the arc kind (:func:`_scalar_arc`, :func:`_matrix_arc` or
     :func:`_flip_arc`) and builds the arc from the table entry.  ``stretch``
-    is the stretch symbol as a single exp-linear term c_j e^{i lam_j theta}
-    (:func:`_single_term`), None when it is not one: its argument grows by
-    Re(lam_j) times the length of each piece, and its modulus is monotone
-    there, so its minimum sits at the piece ends.  A term break that is no
-    jump adds the principal Arg(right/left).
+    is the stretch symbol as one exp-linear term c_j e^{i lam_j theta}, None
+    when it is not one: its argument grows by Re(lam_j) times the length of
+    each piece, and its modulus is monotone there, so its minimum sits at
+    the piece ends.  A term break that is no jump adds the principal
+    Arg(right/left) of the sides that :class:`symbols.TermSides` gives.
 
     Decides only when it is safe:
 
@@ -552,34 +541,18 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
         arcs[angle] = arc(entry, angle, pe, min_modulus_tol)
         if arcs[angle] is None:
             return None
-    breaks, c, lam = (x.tolist() for x in stretch)
-    starts = [cj * cmath.exp(1j * lj * b) for cj, lj, b in zip(c, lam, breaks)]
-    ends = [cj * cmath.exp(1j * lj * b) for cj, lj, b in zip(c, lam, breaks[1:])]
-    ends_min = min(map(abs, starts + ends))
+    rule = sy.TermSides(stretch)
+    ends_min = min(abs(cj * cmath.exp(1j * lj * b)) for cj, lj, b0, b1
+                   in zip(rule.c, rule.lam, rule.breaks, rule.breaks[1:]) for b in (b0, b1))
     bound = min([ends_min] + [a.bound for a in arcs.values()])
     if bound <= min_modulus_tol:
         nearest = min([ends_min] + [a.nearest for a in arcs.values()])
         return IndexResult(False, None, nearest) if nearest <= min_modulus_tol / 100 else None
 
-    # the term's breaks, with those closer than the angle snap joined, as
-    # [first angle, last angle, value before, value after]
-    snap = sy.ANGLE_SNAP
-    events = []
-    for j, angle in enumerate(breaks[:-1]):
-        if events and angle - events[-1][1] < snap:
-            events[-1][1], events[-1][3] = angle, starts[j]
-        else:
-            events.append([angle, angle, ends[j - 1], starts[j]])
-    if len(events) > 1 and TWO_PI - events[-1][1] < snap:  # wraps onto break 0
-        events[0][2] = events.pop()[2]
-
-    def near(x, y):
-        return abs(math.remainder(x - y, TWO_PI)) < snap
-
     glue = []  # principal steps where the curve passes from one value to the next
-    total = sum(lj.real * (b1 - b0) for lj, b0, b1 in zip(lam, breaks, breaks[1:]))
-    for first, last, left, right in events:
-        at = next((t for t in arcs if near(t, first) or near(t, last)), None)
+    total = sum(lj.real * (b1 - b0) for lj, b0, b1 in zip(rule.lam, rule.breaks, rule.breaks[1:]))
+    for i, (left, right) in enumerate(rule.limits):
+        at = next((t for t in arcs if rule.at(t) == i), None)
         if at is None:
             glue.append((left, right))
         else:
@@ -587,8 +560,7 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
             glue += [(left, a.start), (a.end, right)]
             total += a.turn
     for angle, a in arcs.items():  # jumps of the table where the term is smooth
-        j = min(bisect.bisect_right(breaks, angle) - 1, len(c) - 1)
-        value = c[j] * cmath.exp(1j * lam[j] * angle)
+        value = rule.value(angle)
         glue += [(value, a.start), (a.end, value)]
         total += a.turn
     for x, y in glue:
@@ -635,7 +607,7 @@ def toeplitz_symbol_curve(a: PCSymbol, p) -> SymbolCurve:
 
 def _toeplitz_index(a: PCSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
     return _index(
-        lambda: exact_index(_jump_table(a), _single_term(a), _scalar_arc, p, min_modulus_tol),
+        lambda: exact_index(_jump_table(a), sy.single_term(a), _scalar_arc, p, min_modulus_tol),
         lambda: toeplitz_symbol_curve(a, p), min_modulus_tol, route)
 
 
@@ -652,12 +624,18 @@ def critical_exponents(a: PCSymbol) -> list[float]:
 
     The arc from u = a(t-0) to w = a(t+0) on H^s passes through the origin
     exactly when arg(w/u)/2pi + 1/s is an integer (Gohberg-Krupnik): with
-    x = _turn_fraction(w/u), at s = 1/x, and at no s when x = 0.  One entry
-    per jump, sorted; a jump to or from 0 degenerates at every s and has none.
+    x = _turn_fraction(w/u), at s = 1/x, and at no s when x = 0; a single
+    term reads arg(w/u)/2pi from its phases (:meth:`symbols.TermSides.turn`),
+    not from rounded values.  One entry per jump, sorted; a jump to or from
+    0 degenerates at every s and has none.
     """
+    rules = sy.side_rules(a)
+    single = rules[0] if rules is not None and len(rules) == 1 else None
     out = []
-    for _, u, w in jump_set(a):
-        x = _turn_fraction(w / u) if u and w else 0.0
+    for pt, u, w in jump_set(a):
+        if not (u and w):
+            continue
+        x = _turn_fraction(w / u) if single is None else -single.turn(single.at(pt.angle)) % 1.0
         if 0.0 < x < 1.0:
             out.append(1.0 / x)
     return sorted(out)
@@ -927,7 +905,7 @@ def _th_index(a: PCSymbol, b: PCSymbol, p, min_modulus_tol: float,
             f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
             f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
     g, b0, u1 = _th_parts(a, b)
-    pc = _index(lambda: exact_index(_flip_table(g, b0), _single_term(g), _flip_arc, p,
+    pc = _index(lambda: exact_index(_flip_table(g, b0), sy.single_term(g), _flip_arc, p,
                                     min_modulus_tol),
                 lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
     if pc is None:

@@ -19,10 +19,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .defaults import INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
-from .errors import DivisionBySmallModulus, NotInvertible
+from .errors import NotInvertible
 from . import symbols as sym
-from .symbols import (LEFT, RIGHT, TWO_PI, CirclePoint, PCSymbol, check_invertible,
-                      evaluate_array, evaluate_both_sides, evaluate_sides, grid_angles)
+from .symbols import (TWO_PI, CirclePoint, PCSymbol, check_invertible,
+                      evaluate_array, evaluate_both_sides, evaluate_sides, grid_angles,
+                      reciprocal)
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,6 @@ class MatchingPair:
         return make_matching_pair(sym.inverse(self.a), sym.inverse(self.b))
 
 
-def _reciprocal(v):
-    """1/v, refused below the invertibility tolerance as for an inverted symbol."""
-    smallest = abs(v) if np.isscalar(v) else np.min(np.abs(v), initial=np.inf)
-    if smallest < INVERTIBILITY_TOL:
-        raise DivisionBySmallModulus(f"modulus {smallest:.3e} below {INVERTIBILITY_TOL:.1e}")
-    return 1.0 / v
-
-
 @dataclass(frozen=True)
 class MatrixSymbol:
     """The 2x2 matrix symbol U(a, b), computed from the values of a and b.
@@ -70,9 +63,9 @@ class MatrixSymbol:
     _one_sided: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def _matrix(self, a, b, ta, tb) -> np.ndarray:
-        ta_inv = _reciprocal(ta)
+        ta_inv = reciprocal(ta)
         top_left, corner = (a - b * tb * ta_inv, tb * ta_inv) if self.general else (
-            0.0, a * _reciprocal(b))
+            0.0, a * reciprocal(b))
         return np.array([[top_left, -(b * ta_inv)], [corner, ta_inv]], dtype=complex)
 
     def _sides(self, angle: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +78,11 @@ class MatrixSymbol:
     def evaluate_matrix(self, t, side) -> np.ndarray:
         """U(t+0) for side "right", U(t-0) for "left"."""
         angle = t.angle if isinstance(t, CirclePoint) else CirclePoint(t).angle
-        return self._sides(angle)[(LEFT, RIGHT).index(side)]
+        return self._sides(angle)[sym.side_index(side)]
 
     def determinant(self, thetas: np.ndarray) -> np.ndarray:
         """det U = a/~a at angles where neither a nor ~a jumps."""
-        return evaluate_array(self.a, thetas) * _reciprocal(
+        return evaluate_array(self.a, thetas) * reciprocal(
             evaluate_array(self.a, np.mod(-thetas, TWO_PI)))
 
     def jump_angles(self) -> list[float]:

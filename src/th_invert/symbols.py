@@ -11,20 +11,21 @@ Every sum and product of the primitives, and of inverses and half-circle
 extensions of single terms, is a sum of piecewise exp-linear terms, each
 c_j * exp(i lam_j theta) on the arcs between its breaks
 (:func:`_exp_terms`).  The terms give vectorized evaluation, one
-lookup per term, and Fourier coefficients in closed form, one integral per
-arc (exactly c or 0 for a term c * t^k).  Inverses of sums such as
-``1/(3 + t)``, and what is built on them, are evaluated node by node and
-take their coefficients by adaptive quadrature split at the breaks.  The
-one-sided limits ``a(t+0)`` / ``a(t-0)``, ``t+0`` the limit along the
-counterclockwise-forward side, come from one table per symbol, taken on
-the tree at the breaks, where alone a symbol can jump (:func:`evaluate_sides`).
+lookup per term; the one-sided limits ``a(t-0)`` / ``a(t+0)``, ``t+0``
+the limit along the counterclockwise-forward side, by one side rule per
+term (:class:`TermSides`); and Fourier coefficients in closed form, one
+integral per arc (exactly c or 0 for a term c * t^k).  Inverses of sums
+such as ``1/(3 + t)``, and what is built on them, combine the values of
+their children node by node and take their coefficients by adaptive
+quadrature split at the breaks.
 
 Smart constructors (:func:`product`, :func:`inverse`, :func:`tilde`,
-:func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n`` or
-the merging of two power arcs with the same anchor, so derived symbols
-keep closed-form coefficients whenever possible.  The tilde and the
-conjugate have no node of their own: they are rewritten down to the
-leaves, so every tree holds only primitives, sums, products and inverses.
+:func:`conjugate`) perform only exact rewrites, e.g. ``~t^n = t^-n``,
+the merging of two power arcs with the same anchor or ``x * x^-1 = 1``,
+so derived symbols keep closed-form coefficients whenever possible.  The
+tilde and the conjugate have no node of their own: they are rewritten down
+to the leaves, so every tree holds only primitives, sums, products and
+inverses.
 """
 
 from __future__ import annotations
@@ -100,17 +101,25 @@ POINT_ONE = CirclePoint(0.0)
 POINT_MINUS_ONE = CirclePoint(math.pi)
 
 
-def _flip(side: str) -> str:
-    return LEFT if side == RIGHT else RIGHT
-
-
 # ---------------------------------------------------------------------------
 # expression tree
 # ---------------------------------------------------------------------------
 
 
 class PCSymbol:
-    """Base class; nodes are frozen dataclasses and therefore hashable."""
+    """Base class of the nodes, frozen dataclasses made by :func:`_node`.
+
+    Each node computes its hash once, at construction, from the stored
+    hashes of its fields (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006), so a cache keyed by a symbol costs O(1) per
+    lookup however deep the tree.  The value is the dataclass hash.
+    """
+
+    def __post_init__(self):  # the instance holds its fields, in order, and nothing else yet
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __hash__(self):
+        return self._hash
 
     def __add__(self, other):
         return add(self, _as_symbol(other))
@@ -131,21 +140,29 @@ class PCSymbol:
         return product(Const(-1.0), self)
 
 
+def _node(cls):
+    """A frozen dataclass node that keeps the hash stored by PCSymbol."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = PCSymbol.__hash__
+    return cls
+
+
 def _as_symbol(x) -> PCSymbol:
     if isinstance(x, PCSymbol):
         return x
     return Const(complex(x))
 
 
-@dataclass(frozen=True)
+@_node
 class Const(PCSymbol):
     value: complex
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class Monomial(PCSymbol):
     """t^n."""
 
@@ -153,9 +170,10 @@ class Monomial(PCSymbol):
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class PowerArc(PCSymbol):
     """Rotated power function with a single jump at ``anchor``.
 
@@ -170,9 +188,10 @@ class PowerArc(PCSymbol):
 
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class PiecewiseConst(PCSymbol):
     """Constant value ``values[j]`` on the open arc from ``breaks[j]`` to
     ``breaks[j+1]`` (counterclockwise, wrapping at the end)."""
@@ -189,9 +208,10 @@ class PiecewiseConst(PCSymbol):
             raise PreconditionViolation("breaks must be strictly increasing in angle")
         object.__setattr__(self, "breaks", pts)
         object.__setattr__(self, "values", vals)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class ExpArcs(PCSymbol):
     """``c[j] * exp(i * lam[j] * theta)`` on the arc from ``breaks[j]`` to
     ``breaks[j+1]``, where ``breaks[0] = 0`` and the last arc ends at 2*pi.
@@ -215,9 +235,10 @@ class ExpArcs(PCSymbol):
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "lam", lam)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class HalfCircleExtension(PCSymbol):
     """g equal to g0 on the closed upper half-circle and to 1/g0(conj(t))
     on the lower one; satisfies g(t) * g(1/t) = 1 by construction."""
@@ -225,23 +246,25 @@ class HalfCircleExtension(PCSymbol):
     g0: PCSymbol
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(PCSymbol):
     terms: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class Product(PCSymbol):
     factors: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class Inverse(PCSymbol):
     child: PCSymbol
 
@@ -270,7 +293,8 @@ def add(*terms: PCSymbol) -> PCSymbol:
 
 def product(*factors: PCSymbol) -> PCSymbol:
     """Multiply symbols, folding constants, merging monomial exponents and
-    same-anchor power arcs (phi_b * phi_c = phi_{b+c} exactly)."""
+    same-anchor power arcs (phi_b * phi_c = phi_{b+c} exactly), and
+    dropping a factor together with its inverse."""
     const = 1.0 + 0.0j
     mono = 0
     arcs: dict[CirclePoint, complex] = {}
@@ -297,6 +321,10 @@ def product(*factors: PCSymbol) -> PCSymbol:
 
     for f in factors:
         absorb(f)
+    for inv in [f for f in rest if isinstance(f, Inverse)]:  # x * x^-1 = 1
+        if inv in rest and inv.child in rest:
+            rest.remove(inv)
+            rest.remove(inv.child)
 
     out: list[PCSymbol] = []
     for breaks, vals in piecewise.items():
@@ -363,32 +391,26 @@ def tilde(sym: PCSymbol) -> PCSymbol:
         return Monomial(-sym.n)
     if isinstance(sym, PowerArc):
         return PowerArc(-sym.beta, sym.anchor.reflected())
-    if isinstance(sym, PiecewiseConst):
-        pieces = _reflected_pieces(sym.breaks, sym.values)
-        return PiecewiseConst(tuple(b for b, _ in pieces), tuple(v for _, v in pieces))
+    if isinstance(sym, PiecewiseConst):  # the arc from b_j to b_{j+1} starts at -b_{j+1}
+        starts = (b.reflected() for b in sym.breaks[1:] + sym.breaks[:1])
+        return PiecewiseConst(*zip(*sorted(zip(starts, sym.values), key=lambda s: s[0].angle)))
     if isinstance(sym, ExpArcs):
         r = _reflected(_exp_pieces(sym))
         return ExpArcs(tuple(r.breaks[:-1]), tuple(r.c), tuple(r.lam))
     if isinstance(sym, HalfCircleExtension):
         return Inverse(sym)  # g * ~g = 1 exactly, by construction
+    return _rebuilt(sym, tilde)
+
+
+def _rebuilt(sym: PCSymbol, rewrite) -> PCSymbol:
+    """A sum, product or inverse rebuilt from the rewrites of its children."""
     if isinstance(sym, Sum):
-        return add(*(tilde(t) for t in sym.terms))
+        return add(*map(rewrite, sym.terms))
     if isinstance(sym, Product):
-        return product(*(tilde(f) for f in sym.factors))
+        return product(*map(rewrite, sym.factors))
     if isinstance(sym, Inverse):
-        return inverse(tilde(sym.child))
+        return inverse(rewrite(sym.child))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
-
-
-def _reflected_pieces(breaks, payloads):
-    """Reflect arcs (b_j, b_{j+1}) |-> (2*pi - b_{j+1}, 2*pi - b_j), keeping payloads."""
-    k = len(breaks)
-    items = []
-    for j in range(k):
-        end = breaks[(j + 1) % k]
-        items.append((end.reflected(), payloads[j]))
-    items.sort(key=lambda it: it[0].angle)
-    return items
 
 
 def conjugate(sym: PCSymbol) -> PCSymbol:
@@ -406,13 +428,7 @@ def conjugate(sym: PCSymbol) -> PCSymbol:
                        tuple(-v.conjugate() for v in sym.lam))
     if isinstance(sym, HalfCircleExtension):
         return HalfCircleExtension(conjugate(sym.g0))  # conj(1/g0(conj t)) = 1/conj(g0)(conj t)
-    if isinstance(sym, Sum):
-        return add(*(conjugate(t) for t in sym.terms))
-    if isinstance(sym, Product):
-        return product(*(conjugate(f) for f in sym.factors))
-    if isinstance(sym, Inverse):
-        return inverse(conjugate(sym.child))
-    raise TypeError(f"unknown symbol node {type(sym)!r}")
+    return _rebuilt(sym, conjugate)
 
 
 def power_arc(beta: complex, anchor: CirclePoint | float = POINT_ONE) -> PCSymbol:
@@ -426,110 +442,133 @@ def power_arc(beta: complex, anchor: CirclePoint | float = POINT_ONE) -> PCSymbo
 # ---------------------------------------------------------------------------
 
 
-def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT) -> complex:
-    """One-sided limit of the symbol at t, by a walk over its tree.
+class TermSides:
+    """The side rule of one exp-linear term (:class:`ExpPieces`), which
+    evaluation, the break tables, the closed-form index and the critical
+    exponents all read.  Breaks less than ANGLE_SNAP apart, cyclically,
+    count as one (``groups``); within ANGLE_SNAP of them the left limit is
+    the end of the arc before the first and the right limit the start of
+    the arc after the last (``limits``).  At any other angle one arc lookup
+    gives the value."""
 
-    ``side="right"`` returns a(t+0), the limit along increasing angle
-    (counterclockwise-forward); ``side="left"`` returns a(t-0).
-    """
-    if not isinstance(t, CirclePoint):
-        t = CirclePoint(t)
+    def __init__(self, p: ExpPieces):
+        self.pieces = p
+        self.breaks, self.c, self.lam = (x.tolist() for x in p)
+        breaks, self.groups = self.breaks, []  # groups: [first, last] break indices
+        for j, angle in enumerate(breaks[:-1]):
+            if j and angle - breaks[j - 1] < ANGLE_SNAP:
+                self.groups[-1][1] = j
+            else:
+                self.groups.append([j, j])
+        if len(self.groups) > 1 and TWO_PI - breaks[self.groups[-1][1]] < ANGLE_SNAP:
+            self.groups[0][0] = self.groups.pop()[0]  # wraps onto 0
+        self.spans = [(breaks[f], (breaks[last] - breaks[f]) % TWO_PI) for f, last in self.groups]
+        c, lam = self.c, self.lam  # the arc before break 0 ends at 2 pi
+        self.limits = [(c[f - 1] * cmath.exp(1j * lam[f - 1] * breaks[f if f else -1]),
+                        c[last] * cmath.exp(1j * lam[last] * breaks[last]))
+                       for f, last in self.groups]
+
+    def at(self, theta: float) -> Optional[int]:
+        """The group of breaks less than ANGLE_SNAP from theta, or None."""
+        for i, (first, span) in enumerate(self.spans):
+            if -ANGLE_SNAP < math.remainder(theta - first, TWO_PI) < span + ANGLE_SNAP:
+                return i
+        return None
+
+    def turn(self, i: int) -> float:
+        """arg(right/left) of group i in turns, from the phases of c and the
+        growth of Re lam, not from the quotient of two rounded values."""
+        (f, last), b, c, lam = self.groups[i], self.breaks, self.c, self.lam
+        growth = (lam[last].real - lam[f - 1].real) * b[f] + lam[last].real * (b[last] - b[f])
+        phase = math.atan2(c[last].imag, c[last].real) - math.atan2(c[f - 1].imag, c[f - 1].real)
+        return phase / TWO_PI + growth / TWO_PI - (lam[-1].real if f == 0 else 0.0)
+
+    def value(self, theta: float) -> complex:
+        """The value of the arc holding theta in [0, 2*pi)."""
+        j = min(bisect.bisect_right(self.breaks, theta) - 1, len(self.c) - 1)
+        return self.c[j] * cmath.exp(1j * self.lam[j] * theta)
+
+    def limit(self, theta: float, side: int) -> complex:
+        """The left (side 0) or right (side 1) limit at theta in [0, 2*pi)."""
+        i = self.at(theta)
+        return self.value(theta) if i is None else self.limits[i][side]
+
+
+@lru_cache(maxsize=4096)
+def side_rules(sym: PCSymbol) -> Optional[tuple[TermSides, ...]]:
+    """The side rule of each term of the symbol (:func:`_exp_terms`), or None
+    when it has no terms; also None where an inverse in it comes too close
+    to 0, so that the tree refuses only the values asked for."""
+    try:
+        terms = _exp_terms(sym)
+    except DivisionBySmallModulus:
+        return None
+    return None if terms is None else tuple(map(TermSides, terms))
+
+
+def single_term(sym: PCSymbol) -> Optional[ExpPieces]:
+    """The symbol as one exp-linear term, or None (see :func:`side_rules`)."""
+    rules = side_rules(sym)
+    return rules[0].pieces if rules is not None and len(rules) == 1 else None
+
+
+def side_index(side: str) -> int:
+    """The place of ``side`` in a (left, right) pair; any other side is refused."""
     if side not in (LEFT, RIGHT):
         raise PreconditionViolation(f"side must be 'left' or 'right', got {side!r}")
-    return _eval(sym, t.angle, side)
+    return int(side == RIGHT)
+
+
+def reciprocal(v):
+    """1/v for a value or an array, refused below the invertibility tolerance."""
+    smallest = np.min(np.abs(v), initial=np.inf) if isinstance(v, np.ndarray) else abs(v)
+    if smallest < INVERTIBILITY_TOL:
+        raise DivisionBySmallModulus(f"modulus {smallest:.3e} below {INVERTIBILITY_TOL:.1e}")
+    return 1.0 / v
+
+
+def evaluate(sym: PCSymbol, t: CirclePoint | float, side: str = RIGHT) -> complex:
+    """One-sided limit of the symbol at t: ``side="right"`` returns a(t+0),
+    the limit along increasing angle (counterclockwise-forward), and
+    ``side="left"`` returns a(t-0) (:func:`_eval`)."""
+    i = side_index(side)
+    return _eval(sym, t.angle if isinstance(t, CirclePoint) else _canonical_angle(t), i)
 
 
 def evaluate_sides(sym: PCSymbol, t: CirclePoint | float) -> tuple[complex, complex]:
     """(sym(t-0), sym(t+0)): the entry of :func:`_one_sided_at_breaks` less
-    than ANGLE_SNAP away; both sides on the tree less than 2 * ANGLE_SNAP
-    away, where a break that the table merged into another may lie; one walk
-    farther away, where both sides take the same path."""
+    than ANGLE_SNAP away, where the table snaps, and :func:`_eval` elsewhere."""
     angle = t.angle if isinstance(t, CirclePoint) else _canonical_angle(t)
     table = _one_sided_at_breaks(sym)
     j = bisect.bisect_left(table, (angle,))
-    gap = math.inf
     for x, left, right in sorted((table[j - 1], table[j % len(table)])):
-        gap = min(gap, abs(math.remainder(x - angle, TWO_PI)))
-        if gap < ANGLE_SNAP:
+        if abs(math.remainder(x - angle, TWO_PI)) < ANGLE_SNAP:
             return left, right
-    if gap < 2 * ANGLE_SNAP:
-        return _eval(sym, angle, LEFT), _eval(sym, angle, RIGHT)
-    value = _eval(sym, angle, RIGHT)
-    return value, value
+    return _eval(sym, angle, 0), _eval(sym, angle, 1)
 
 
-def _eval(sym: PCSymbol, theta: float, side: str) -> complex:
-    if isinstance(sym, Const):
-        return sym.value
-    if isinstance(sym, Monomial):
-        return cmath.exp(1j * sym.n * theta)
-    if isinstance(sym, PowerArc):
-        zeta = _canonical_angle(theta - sym.anchor.angle)
-        if zeta < ANGLE_SNAP or TWO_PI - zeta < ANGLE_SNAP:
-            zeta = 0.0 if side == RIGHT else TWO_PI
-        return cmath.exp(1j * sym.beta * (zeta - math.pi))
-    if isinstance(sym, PiecewiseConst):
-        return sym.values[_piece_index([b.angle for b in sym.breaks], theta, side)[0]]
-    if isinstance(sym, ExpArcs):
-        j, at = _piece_index(sym.breaks, theta, side)
-        return sym.c[j] * cmath.exp(1j * sym.lam[j] * at)
-    if isinstance(sym, HalfCircleExtension):
-        return _eval_half_circle(sym.g0, theta, side)
-    if isinstance(sym, Sum):
-        return sum(_eval(t_, theta, side) for t_ in sym.terms)
-    if isinstance(sym, Product):
-        out = 1.0 + 0.0j
-        for f in sym.factors:
-            out *= _eval(f, theta, side)
-        return out
+def _eval(sym: PCSymbol, theta: float, side: int) -> complex:
+    """sym(t-0) for side 0 and sym(t+0) for side 1, at theta in [0, 2*pi): the
+    side rules of the terms summed (:class:`TermSides`); a node without terms
+    combines the values of its children, and refuses a reciprocal only there."""
+    rules = side_rules(sym)
+    if rules is not None:
+        values = [rule.limit(theta, side) for rule in rules]
+        return values[0] if len(values) == 1 else sum(values[1:], values[0])
+    if isinstance(sym, HalfCircleExtension):  # g0 above, 1/g0(conj t) below
+        at_one = theta < ANGLE_SNAP or TWO_PI - theta < ANGLE_SNAP
+        if at_one or abs(theta - math.pi) < ANGLE_SNAP:  # the upper side takes g0's limit
+            value = _eval(sym.g0, 0.0 if at_one else math.pi, int(at_one))
+            return value if side == at_one else reciprocal(value)
+        if theta < math.pi:
+            return _eval(sym.g0, theta, side)
+        return reciprocal(_eval(sym.g0, TWO_PI - theta, 1 - side))  # conj reverses orientation
     if isinstance(sym, Inverse):
-        v = _eval(sym.child, theta, side)
-        if abs(v) < INVERTIBILITY_TOL:
-            raise DivisionBySmallModulus(f"modulus {abs(v):.3e} below tolerance "
-                                         f"{INVERTIBILITY_TOL:.1e} at angle {theta:.6f} ({side})")
-        return 1.0 / v
+        return reciprocal(_eval(sym.child, theta, side))
+    if isinstance(sym, (Sum, Product)):
+        combine, parts = (sum, sym.terms) if isinstance(sym, Sum) else (math.prod, sym.factors)
+        return combine(_eval(x, theta, side) for x in parts)
     raise TypeError(f"unknown symbol node {type(sym)!r}")
-
-
-def _piece_index(angles, theta: float, side: str) -> tuple[int, float]:
-    """Index j of the arc whose value governs the one-sided limit at theta,
-    and the angle of arc j (from angles[j] up to angles[j+1], or to
-    angles[0] + 2*pi for the last arc) at which the limit is taken.
-
-    An angle within ANGLE_SNAP of a break, cyclically, is that break: the
-    start of the arc after it from the right, the end of the arc before it
-    from the left.
-    """
-    k = len(angles)
-    for j, a in enumerate(angles):
-        d = abs(theta - a)
-        if d < ANGLE_SNAP or abs(d - TWO_PI) < ANGLE_SNAP:
-            if side == RIGHT:
-                return j, a
-            return (j - 1) % k, (a if j else a + TWO_PI)
-    # strictly inside an arc: the last break at angle < theta (cyclically)
-    j = bisect.bisect_left(angles, theta) - 1
-    return j % k, (theta if j >= 0 else theta + TWO_PI)
-
-
-def _eval_half_circle(g0: PCSymbol, theta: float, side: str) -> complex:
-    def g0_at(angle, s):
-        return _eval(g0, _canonical_angle(angle), s)
-
-    def inv_g0(angle, s):
-        v = g0_at(angle, s)
-        if abs(v) < INVERTIBILITY_TOL:
-            raise DivisionBySmallModulus("half-circle extension hit a small modulus")
-        return 1.0 / v
-
-    if theta < ANGLE_SNAP or TWO_PI - theta < ANGLE_SNAP:
-        return g0_at(0.0, RIGHT) if side == RIGHT else inv_g0(0.0, RIGHT)
-    if abs(theta - math.pi) < ANGLE_SNAP:
-        return g0_at(math.pi, LEFT) if side == LEFT else inv_g0(math.pi, LEFT)
-    if theta < math.pi:
-        return g0_at(theta, side)
-    # lower half: g(t) = 1/g0(conj t); conj reverses orientation
-    return inv_g0(TWO_PI - theta, _flip(side))
 
 
 def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
@@ -542,37 +581,25 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
     of a sum or where an inverse comes too close to 0 on an arc.
     """
     thetas = np.asarray(thetas, dtype=float)
-    try:
-        terms = _exp_terms(sym)
-    except DivisionBySmallModulus:  # the tree refuses only the values asked for
-        terms = None
-    if terms is not None:
+    rules = side_rules(sym)
+    if rules is not None:
         thetas = np.mod(thetas, TWO_PI)
         out = None
-        for p in terms:
-            c, lam = _pieces_at(p, thetas)
+        for rule in rules:
+            c, lam = _pieces_at(rule.pieces, thetas)
             value = c * np.exp(1j * lam * thetas)
             out = value if out is None else out + value
         return out
     if isinstance(sym, HalfCircleExtension):  # 1/g0(conj t) on the lower half
         lower = thetas > math.pi
         out = evaluate_array(sym.g0, np.where(lower, np.mod(TWO_PI - thetas, TWO_PI), thetas))
-        if np.any(lower) and np.min(np.abs(out[lower])) < INVERTIBILITY_TOL:
-            raise DivisionBySmallModulus("half-circle extension hit a small modulus")
-        out[lower] = 1.0 / out[lower]
+        out[lower] = reciprocal(out[lower])
         return out
-    if isinstance(sym, Sum):
-        return np.sum([evaluate_array(t_, thetas) for t_ in sym.terms], axis=0)
-    if isinstance(sym, Product):
-        out = np.ones(thetas.shape, dtype=complex)
-        for f in sym.factors:
-            out *= evaluate_array(f, thetas)
-        return out
+    if isinstance(sym, (Sum, Product)):
+        combine, parts = (sum, sym.terms) if isinstance(sym, Sum) else (math.prod, sym.factors)
+        return combine(evaluate_array(x, thetas) for x in parts)
     if isinstance(sym, Inverse):
-        v = evaluate_array(sym.child, thetas)
-        if v.size and np.min(np.abs(v)) < INVERTIBILITY_TOL:
-            raise DivisionBySmallModulus("modulus below tolerance in vectorized inverse")
-        return 1.0 / v
+        return reciprocal(evaluate_array(sym.child, thetas))
     raise TypeError(f"unknown symbol node {type(sym)!r}")
 
 
@@ -583,16 +610,11 @@ def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
 
 def _breaks(sym: PCSymbol) -> set[float]:
     """The angles where the symbol may jump: the breaks of its terms
-    (:func:`_exp_terms`), 0 among them, read off the tree without building
-    the terms; a node without terms has those of its children."""
-    if isinstance(sym, (Const, Monomial)):
-        return {0.0}
-    if isinstance(sym, PowerArc):
-        return {0.0, sym.anchor.angle}
-    if isinstance(sym, PiecewiseConst):
-        return {0.0} | {b.angle for b in sym.breaks}
-    if isinstance(sym, ExpArcs):
-        return set(sym.breaks)
+    (:func:`_exp_terms`), 0 among them; a node without terms has those of
+    its children, and a half-circle extension also their reflections and pi."""
+    rules = side_rules(sym)
+    if rules is not None:
+        return {b for rule in rules for b in rule.breaks[:-1] if b < TWO_PI}
     if isinstance(sym, HalfCircleExtension):
         inner = _breaks(sym.g0)
         return {math.pi} | inner | {_canonical_angle(-a) for a in inner}
@@ -620,7 +642,7 @@ def dedupe_angles(angles, tol: float = ANGLE_SNAP) -> list[float]:
 def _one_sided_at_breaks(sym: PCSymbol) -> tuple:
     """(angle, sym(t-0), sym(t+0)) at every break of the symbol and at +-1,
     sorted by angle, with breaks less than ANGLE_SNAP apart taken as one."""
-    return tuple((angle, _eval(sym, angle, LEFT), _eval(sym, angle, RIGHT))
+    return tuple((angle, _eval(sym, angle, 0), _eval(sym, angle, 1))
                  for angle in dedupe_angles(_breaks(sym) | {0.0, math.pi}))
 
 
@@ -734,20 +756,26 @@ def _pieces_at(pieces: ExpPieces, thetas: np.ndarray) -> tuple[np.ndarray, np.nd
     return pieces.c[j], pieces.lam[j]
 
 
-def _common_arcs(*breaks) -> tuple[np.ndarray, np.ndarray]:
-    """Union of several break arrays, with the midpoint of each arc."""
-    breaks = np.unique(np.concatenate(breaks))
-    return breaks, 0.5 * (breaks[:-1] + breaks[1:])
+def _common_arcs(*breaks: list) -> tuple[np.ndarray, list]:
+    """Union of several break lists, with the midpoint of each arc.  np.unique
+    picks between 0.0 and -0.0 its own way, which only a leading -0.0 needs."""
+    if any(math.copysign(1.0, b[0]) < 0 for b in breaks):
+        union = np.unique(np.concatenate(breaks)).tolist()
+    else:
+        union = sorted(set().union(*breaks))
+    return np.array(union), [0.5 * (x + y) for x, y in zip(union, union[1:])]
 
 
 def _multiply(parts) -> ExpPieces:
     """Pointwise product of terms: common arcs, c multiplied, lam added."""
-    breaks, mid = _common_arcs(*(p.breaks for p in parts))
+    lists = [p.breaks.tolist() for p in parts]
+    breaks, mid = _common_arcs(*lists)
     c = np.ones(len(mid), dtype=complex)
     lam = np.zeros(len(mid), dtype=complex)
-    for p in parts:
-        pc, plam = _pieces_at(p, mid)
-        c, lam = c * pc, lam + plam
+    for p, pb in zip(parts, lists):  # the arcs of p holding the midpoints, as in _pieces_at
+        last = len(pb) - 2
+        j = [min(bisect.bisect_right(pb, m) - 1, last) for m in mid] if last else 0
+        c, lam = c * p.c[j], lam + p.lam[j]
     return _pieces(breaks, c, lam)
 
 
@@ -834,9 +862,9 @@ def _exp_terms(sym: PCSymbol) -> Optional[tuple[ExpPieces, ...]]:
         if upper is None:
             return None
         lower = _inverted(_reflected(upper))  # 1/g0(conj t)
-        breaks, mid = _common_arcs(upper.breaks, lower.breaks, [math.pi])
+        breaks, mid = _common_arcs(upper.breaks.tolist(), lower.breaks.tolist(), [math.pi])
         (uc, ulam), (lc, llam) = _pieces_at(upper, mid), _pieces_at(lower, mid)
-        top = mid < math.pi
+        top = np.array(mid) < math.pi
         return (_pieces(breaks, np.where(top, uc, lc), np.where(top, ulam, llam)),)
     return None
 
@@ -884,10 +912,7 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
     conservative near resonant frequencies although the values converge),
     the agreement between two successive panel-halving levels.
     """
-    base = dedupe_angles(_breaks(sym))
-    base.append(TWO_PI)
-    if base[0] > ANGLE_SNAP:
-        base.insert(0, 0.0)
+    base = dedupe_angles(_breaks(sym)) + [TWO_PI]  # 0 is always a break
 
     previous = None
     for refinement in range(3):
@@ -898,14 +923,15 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
         bound = 0.0
         eps = tol / max(1, 8 * (len(panels) - 1))
         for a0, a1 in zip(panels[:-1], panels[1:]):
+            @lru_cache(maxsize=None)  # the real and imaginary parts share the values
             def f(theta, _a0=a0, _a1=a1):
                 # quadrature rules may evaluate at panel edges: use the side
                 # whose limit belongs to this panel
                 if theta - _a0 < ANGLE_SNAP:
-                    return _eval(sym, _canonical_angle(_a0), RIGHT)
+                    return _eval(sym, _canonical_angle(_a0), 1)
                 if _a1 - theta < ANGLE_SNAP:
-                    return _eval(sym, _canonical_angle(_a1), LEFT)
-                return _eval(sym, _canonical_angle(theta), RIGHT)
+                    return _eval(sym, _canonical_angle(_a1), 0)
+                return _eval(sym, _canonical_angle(theta), 1)
 
             def f_re(theta):
                 return f(theta).real

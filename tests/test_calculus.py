@@ -229,6 +229,22 @@ def test_critical_exponents_of_the_catalog(quarter_pair, half_plane_pair):
     assert critical_exponents(PiecewiseConst((0.0, math.pi), (1.0, 0.0))) == []
 
 
+@pytest.mark.parametrize("sym", [
+    sy.product(Monomial(1), PowerArc(0.3 + 0.05j, CirclePoint(2.0)),
+               PiecewiseConst((1.0, 4.0), (1.5j, -0.7 + 0.2j))),
+    sy.HalfCircleExtension(PiecewiseConst((0.5, 2.0), (2.0 - 1j, -1.0))),
+    sy.product(PowerArc(0.45), PowerArc(-0.2, CirclePoint(math.pi)), Const(-2.0)),
+], ids=["steps", "extension", "two-arcs"])
+def test_critical_exponents_of_a_term_match_the_value_quotient(sym):
+    # one term reads each turn from its phases, a sum from the quotient of
+    # its one-sided values; adding the constant 0 makes the same function a sum
+    as_sum = sy.Sum((sym, Const(0.0)))
+    assert len(sy.side_rules(sym)) == 1 and len(sy.side_rules(as_sum)) == 2
+    from_terms = critical_exponents(sym)
+    assert len(from_terms) >= 2
+    assert from_terms == pytest.approx(critical_exponents(as_sum), rel=1e-12)
+
+
 _GRID = [TWO_PI * k / 24 for k in range(24)]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from th_invert import symbols as sy
-from th_invert.errors import NotInvertible
+from th_invert.errors import NotInvertible, PreconditionViolation
 from th_invert.matching import (
     MatchRejection,
     build_u_matrix,
@@ -34,6 +34,18 @@ def test_half_plane_pair_matching(half_plane_pair):
     assert half_plane_pair.match_constant == pytest.approx(-1.0)
     c_expected = Const(1j) * half_plane_pair.b
     assert max_grid_deviation(half_plane_pair.c, c_expected) < 1e-12
+
+
+def test_subordinated_function_cancels_the_common_factor():
+    # c = a b^-1 of (3 + t, (3 + t) t^-1) is t, with closed-form coefficients
+    a = sy.add(Const(3.0), Monomial(1))
+    assert make_matching_pair(a, a * Monomial(-1)).c == Monomial(1)
+
+
+def test_evaluate_matrix_rejects_a_bad_side(quarter_pair):
+    u = build_u_matrix(quarter_pair)
+    with pytest.raises(PreconditionViolation, match="side must be 'left' or 'right'"):
+        u.evaluate_matrix(sy.POINT_ONE, "up")
 
 
 def test_monomials_are_matching_functions():

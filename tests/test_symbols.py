@@ -67,6 +67,25 @@ def test_evaluate_rejects_bad_side(quarter_twist):
         evaluate(quarter_twist, POINT_ONE, "up")
 
 
+def test_hash_is_stored_at_construction():
+    # each node hashes the stored hashes of its children, so a chain deeper
+    # than the recursion limit hashes, to the value of an equal chain
+    def chain():
+        sym = Const(1.0)
+        for n in range(2000):
+            sym = sy.Sum((sym, Monomial(n)))
+        return sym
+
+    assert hash(chain()) == hash(chain())
+    assert hash(sy.Sum((Const(1.0), Monomial(2)))) == hash(((Const(1.0), Monomial(2)),))
+
+
+def test_product_cancels_a_factor_against_its_inverse():
+    s = sy.add(Const(3.0), Monomial(1))
+    assert sy.product(s, Monomial(2), sy.inverse(s)) == Monomial(2)
+    assert sy.product(sy.inverse(s), s, sy.inverse(s)) == sy.Inverse(s)
+
+
 def test_inverse_small_modulus_raises():
     small = sy.add(Monomial(1), Const(-1.0))  # vanishes at t = 1
     with pytest.raises(DivisionBySmallModulus):
