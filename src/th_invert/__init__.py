@@ -33,6 +33,7 @@ from .sections import (
     apply_operator,
     block_assembly,
     hankel_matrix,
+    kernel_dimension,
     kernel_formula_eval,
     numerical_kernel,
     toeplitz_matrix,

@@ -55,8 +55,8 @@ from .matching import MatchingPair, build_u_matrix
 from .sections import (
     KernelFormulaResult,
     apply_operator,
+    kernel_dimension,
     kernel_formula_eval,
-    numerical_kernel,
     th_section,
 )
 from . import symbols as sy
@@ -289,10 +289,10 @@ class Analysis:
 
     def section_kernel(self, sign: int) -> int:
         """Kernel dimension of the n_section section of T(a) + sign * H(b)."""
-        return self._once(("section", sign), lambda: numerical_kernel(
+        return self._once(("section", sign), lambda: kernel_dimension(
             th_section(self.pair.a, self.pair.b, sign, self.n_section,
                        self.tolerances.quadrature),
-            self.tolerances.sv_threshold).dimension)
+            self.tolerances.sv_threshold))
 
 
 class _Witnesses(Analysis):

@@ -355,7 +355,7 @@ def _turn_fraction(z: complex) -> float:
     exactly when 1/p = x, and the argument increment along the arc is
     2 pi ([x > 1/p] - x), Arg z reduced into (-2pi/p, 2pi(1 - 1/p)).
     """
-    return (-cmath.phase(z) / TWO_PI) % 1.0
+    return (-sy.phase(z) / TWO_PI) % 1.0
 
 
 def _arc_turn(z: complex, p: float) -> float:
@@ -488,7 +488,7 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     bound = abs(gr) * max(
         dist[0] / (dist[0] + abs(e0 - roots[0])) * dist[1] / (dist[1] + abs(e1 - roots[1]))
         for e0, e1 in ((1.0, -1.0), (-1.0, 1.0)))
-    turn = sum(math.remainder(phi - cmath.phase(-r), TWO_PI) for r in roots) - (2 * phi - math.pi)
+    turn = sum(math.remainder(phi - sy.phase(-r), TWO_PI) for r in roots) - (2 * phi - math.pi)
     nearest = math.inf
     if bound <= tol:
         for a in along:
@@ -564,7 +564,7 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
         glue += [(value, a.start), (a.end, value)]
         total += a.turn
     for x, y in glue:
-        step = cmath.phase(y / x)
+        step = sy.phase(y / x)
         if abs(step) > GLUE_MAX:
             return None
         total += step

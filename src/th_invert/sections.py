@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import (LinAlgError, hankel as _hankel_la, solve_toeplitz,
+from scipy.linalg import (LinAlgError, hankel as _hankel_la, lu_solve, solve_toeplitz,
                           toeplitz as _toeplitz_la)
+from scipy.linalg.blas import zherk as _zherk
+from scipy.linalg.lapack import zgetrf as _zgetrf, zpotrf as _zpotrf
 
 from .defaults import QUADRATURE_TOL, SPECTRAL_GAP, SV_THRESHOLD
 from .errors import NoSpectralGap, PreconditionViolation
@@ -262,7 +264,8 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     concentrates at the top edge of the window track the truncation cut
     rather than any fixed H^p function (the shift section T_n(t) kills
     e_{n-1}, for example); they are excluded from ``dimension`` and
-    counted in ``edge_dimension``.
+    counted in ``edge_dimension``.  Non-finite entries raise
+    PreconditionViolation.
 
     The singular values are computed first, without vectors.  When all of
     them clear ``sv_threshold`` and there are no more columns than rows,
@@ -272,13 +275,41 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     from its values and vectors.  The two LAPACK drivers agree to a few
     ulps, so a value that clears the threshold by less than relative 1e-9
     is left to the full SVD as well: a tie is decided as without the screen.
+
+    :func:`kernel_dimension` gives the same ``dimension`` and the same
+    refusals, mostly without an SVD: for a square A, a completed Cholesky
+    of A^H A - shift I, shift = (2 sv_threshold)^2 + 16 (n + 2) u ||A||_F^2,
+    certifies sigma_min(A) >= 2 sv_threshold despite the rounding of the
+    Gram product and of the factorization (Higham 2002, ch. 3, Thm 10.3).
     """
-    entries = m.entries if isinstance(m, FiniteSectionMatrix) else np.asarray(m)
+    entries = _entries(m)
     cols = entries.shape[1]
     s = np.linalg.svd(entries, compute_uv=False)
-    if cols <= len(s) and not np.any(s < sv_threshold * (1 + 1e-9)):
+    if _nothing_dropped(s, cols, sv_threshold):
         return NumericalKernel(0, np.zeros((cols, 0)), sv_threshold,
                                float(s.min()) if len(s) else None, None, 0)
+    return _full_svd_kernel(entries, sv_threshold, gap_factor)
+
+
+def _entries(m: FiniteSectionMatrix | np.ndarray) -> np.ndarray:
+    """The matrix of ``m``; PreconditionViolation unless every entry is finite."""
+    entries = m.entries if isinstance(m, FiniteSectionMatrix) else np.asarray(m)
+    if not np.isfinite(entries).all():
+        raise PreconditionViolation("section entries must be finite")
+    return entries
+
+
+def _nothing_dropped(s: np.ndarray, cols: int, sv_threshold: float) -> bool:
+    """Every singular value clears the threshold by relative 1e-9 (a tie
+    margin for the values of two LAPACK drivers) and there are no more
+    columns than values: no value is dropped and neither refusal can fire."""
+    return cols <= len(s) and not np.any(s < sv_threshold * (1 + 1e-9))
+
+
+def _full_svd_kernel(entries: np.ndarray, sv_threshold: float,
+                     gap_factor: float) -> NumericalKernel:
+    """Count, refusals, edge filter and basis from one full SVD."""
+    cols = entries.shape[1]
     _, s, vh = np.linalg.svd(entries)
     dropped = s < sv_threshold
     n_dropped = int(np.count_nonzero(dropped))
@@ -303,6 +334,113 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     basis = np.stack(vectors, axis=1) if vectors else np.zeros((cols, 0))
     return NumericalKernel(len(vectors), basis, sv_threshold, smallest_kept,
                            largest_dropped, edge)
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_GRAM_SLACK = 16  # covers the complex rounding of the Gram product and of Cholesky
+
+
+def _certified_full_rank(entries: np.ndarray, floor: float) -> bool:
+    """True only when sigma_min(A) >= floor, for A square, by one Cholesky.
+
+    G = conj(A^H A) is formed by zherk and shift = floor^2 + 16 (n + 2) u
+    ||A||_F^2 is subtracted from its diagonal.  The computed G is
+    A^H A + E_gram with ||E_gram||_2 <= sqrt(2) gamma_{n+2} ||A||_F^2
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3,
+    complex inner products), and a Cholesky factor R that zpotrf completes
+    satisfies R^H R = G - shift I + E_chol with ||E_chol||_2 <=
+    gamma_{n+2} trace(R^H R) (Thm 10.3, complex).  Since R^H R is
+    positive semidefinite, lambda_min(A^H A) >= shift - ||E_gram|| -
+    ||E_chol|| >= floor^2: about 3 (n + 2) u ||A||_F^2 of the slack covers
+    the two errors and the rounding of the shift.  So a completed
+    factorization certifies the bound; a failed one certifies nothing.
+    """
+    n = entries.shape[0]
+    if entries.shape != (n, n) or not n:
+        return False
+    a = np.asarray(entries, dtype=complex)
+    gram = _zherk(1.0, a.T)  # a.T is the F-ordered view of A^T: upper triangle of conj(A^H A)
+    shift = floor * floor + _GRAM_SLACK * (n + 2) * _UNIT_ROUNDOFF * gram.diagonal().real.sum()
+    gram[np.diag_indices(n)] -= shift
+    return _zpotrf(gram, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+
+def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray, sv_threshold: float,
+                           gap_factor: float) -> Optional[int]:
+    """The count of the full SVD when exactly one value is dropped behind a
+    clean gap, from one vector by inverse iteration; None when undecided.
+
+    Applies to a square matrix whose values-only SVD has s[-1] below the
+    threshold and s[-2] above it, each by relative 1e-9, and s[-2]/s[-1] at
+    least gap_factor (1 + 1e-9) or s[-1] == 0: the full SVD then drops the
+    same one value and cannot refuse.  Three steps of inverse iteration on
+    A^H A, through one LU of A with its zero or tiny pivots raised to
+    eps s[0], give a unit x.  With r = ||A x|| + n u ||A||_F, which bounds
+    the rounding of A x and of s[-2], the angle between x and the dropped
+    singular vector has sin(theta) <= r / (s[-2] - r), and the top-edge
+    mass ||x[top:]||^2 is within 4 sin(theta) of the full SVD vector's.
+    An edge vector counts 0, any other 1; a mass within that margin of 1/2
+    is left to the full SVD.
+    """
+    n = len(s)
+    if entries.shape != (n, n) or n < 2:
+        return None
+    one_dropped = s[-1] < sv_threshold * (1 - 1e-9) and s[-2] >= sv_threshold * (1 + 1e-9)
+    if not one_dropped or (s[-1] and s[-2] / s[-1] < gap_factor * (1 + 1e-9)):
+        return None
+    a = np.asarray(entries, dtype=complex)
+    lu, piv, _ = _zgetrf(a)  # LAPACK directly: a singular U is expected, not a warning
+    pivots = np.abs(lu.diagonal())
+    small = np.flatnonzero(pivots < np.finfo(float).eps * s[0])
+    lu[small, small] = np.finfo(float).eps * s[0]
+    rng = np.random.default_rng(0)  # a fixed start; ones is orthogonal to kernels like t^2 - 1
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # several raised pivots can overflow x; its residual is then NaN and
+    # the comparisons below leave the count to the full SVD
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            x = lu_solve((lu, piv), lu_solve((lu, piv), x, trans=2, check_finite=False),
+                         check_finite=False)
+            x /= np.linalg.norm(x)
+        r = np.linalg.norm(a @ x) + n * _UNIT_ROUNDOFF * np.linalg.norm(s)
+        mass = np.linalg.norm(x[int(0.75 * n):]) ** 2
+    if not r < s[-2]:
+        return None
+    sin_theta = r / (s[-2] - r)
+    if not abs(mass - 0.5) > 4 * sin_theta:
+        return None
+    return 0 if mass > 0.5 else 1
+
+
+def kernel_dimension(m: FiniteSectionMatrix | np.ndarray,
+                     sv_threshold: float = SV_THRESHOLD,
+                     gap_factor: float = SPECTRAL_GAP) -> int:
+    """``numerical_kernel(m, sv_threshold, gap_factor).dimension``, with the
+    same NoSpectralGap refusals, from the cheapest of four stages:
+
+    1. a square section with sigma_min >= 2 sv_threshold certified by a
+       shifted Gram-Cholesky test (``_certified_full_rank``: with
+       shift = (2 sv_threshold)^2 + 16 (n + 2) u ||A||_F^2, a completed
+       Cholesky of A^H A - shift I proves lambda_min(A^H A) >= (2
+       sv_threshold)^2) counts 0 without an SVD.  Such a sigma_min also
+       exceeds sqrt(13 (n + 2) u) ||A||_F, and the values-only SVD errs by
+       O(n u ||A||_2), far less, so it would drop nothing either;
+    2. the values-only SVD of ``numerical_kernel``; nothing dropped counts 0;
+    3. exactly one dropped value behind a clean gap: its vector, by inverse
+       iteration, decides edge (0) or not (1) when its certified angle
+       leaves no doubt (``_one_dropped_dimension``);
+    4. otherwise the full SVD, exactly as ``numerical_kernel`` runs it.
+    """
+    entries = _entries(m)
+    if _certified_full_rank(entries, 2 * sv_threshold):
+        return 0
+    s = np.linalg.svd(entries, compute_uv=False)
+    if _nothing_dropped(s, entries.shape[1], sv_threshold):
+        return 0
+    dim = _one_dropped_dimension(entries, s, sv_threshold, gap_factor)
+    if dim is not None:
+        return dim
+    return _full_svd_kernel(entries, sv_threshold, gap_factor).dimension
 
 
 def apply_operator(a: PCSymbol, b: PCSymbol, sign: int, poly: np.ndarray,

@@ -62,6 +62,12 @@ RIGHT = "right"
 ANGLE_SNAP = 1e-12
 
 
+def phase(z: complex) -> float:
+    """arg z in [-pi, pi], as cmath.phase on finite z, but without its
+    OverflowError when atan2 underflows to a subnormal (2.5 + 5e-324j)."""
+    return math.atan2(z.imag, z.real)
+
+
 def _canonical_angle(angle: float) -> float:
     """Map an angle to [0, 2*pi). Canonicalization is exact: equality of
     circle points is float equality of canonical angles."""
@@ -86,7 +92,7 @@ class CirclePoint:
     def from_complex(cls, z: complex) -> "CirclePoint":
         if abs(abs(z) - 1.0) > 1e-9:
             raise PreconditionViolation(f"point {z} is not on the unit circle")
-        return cls(cmath.phase(z))
+        return cls(phase(z))
 
     @property
     def value(self) -> complex:
@@ -480,8 +486,8 @@ class TermSides:
         growth of Re lam, not from the quotient of two rounded values."""
         (f, last), b, c, lam = self.groups[i], self.breaks, self.c, self.lam
         growth = (lam[last].real - lam[f - 1].real) * b[f] + lam[last].real * (b[last] - b[f])
-        phase = math.atan2(c[last].imag, c[last].real) - math.atan2(c[f - 1].imag, c[f - 1].real)
-        return phase / TWO_PI + growth / TWO_PI - (lam[-1].real if f == 0 else 0.0)
+        arg = phase(c[last]) - phase(c[f - 1])
+        return arg / TWO_PI + growth / TWO_PI - (lam[-1].real if f == 0 else 0.0)
 
     def value(self, theta: float) -> complex:
         """The value of the arc holding theta in [0, 2*pi)."""

@@ -245,6 +245,25 @@ def test_critical_exponents_of_a_term_match_the_value_quotient(sym):
     assert from_terms == pytest.approx(critical_exponents(as_sum), rel=1e-12)
 
 
+def test_critical_exponents_of_a_jump_with_a_subnormal_phase():
+    # atan2(5e-324, 2.5) underflows to a subnormal, where cmath.phase raises
+    # OverflowError; the jump has turn 0 and so no critical exponent
+    sym = sy.Sum((PiecewiseConst((0.0, 1.0), (1.0, 2.5 + 5e-324j)), Const(0.0)))
+    assert critical_exponents(sym) == []
+    assert sy.phase(2.5 + 5e-324j) == math.atan2(5e-324, 2.5)
+
+
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_phase_is_cmath_phase_bit_for_bit(z):
+    try:
+        expected = cmath.phase(z)
+    except OverflowError:
+        assume(False)
+    assert math.copysign(1.0, sy.phase(z)) == math.copysign(1.0, expected)
+    assert sy.phase(z) == expected
+
+
 _GRID = [TWO_PI * k / 24 for k in range(24)]
 
 

@@ -1,13 +1,16 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgWarning
 
 from th_invert import sections
 from th_invert import symbols as sy
 from th_invert.analyzer import Analysis, classify
+from th_invert.config import Tolerances
 from th_invert.catalog import quarter_twist, quarter_twist_pair
 from th_invert.errors import NoSpectralGap, NotPolynomial, PreconditionViolation
 from th_invert.matching import MatchingPair, make_matching_pair
@@ -19,6 +22,7 @@ from th_invert.sections import (
     block_assembly,
     hankel_matrix,
     idempotent_identity_residual,
+    kernel_dimension,
     kernel_formula_eval,
     numerical_kernel,
     th_section,
@@ -339,6 +343,170 @@ def test_kernel_dimensions_stabilize():
         dims.append((numerical_kernel(th_section(a, b, 1, n)).dimension,
                      numerical_kernel(th_section(a, b, -1, n)).dimension))
     assert dims[0] == dims[1] == dims[2] == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# kernel dimensions without the full SVD
+# ---------------------------------------------------------------------------
+
+
+def assert_dimension_matches(entries):
+    """kernel_dimension equals numerical_kernel's dimension, or both refuse
+    with the same message."""
+    out = []
+    # a singular LU in the one-vector stage is expected and must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        for fn in (kernel_dimension, lambda e: numerical_kernel(e).dimension):
+            try:
+                out.append(fn(entries))
+            except NoSpectralGap as exc:
+                out.append(f"refused: {exc}")
+    assert out[0] == out[1]
+
+
+@given(planted_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_dimension_matches_numerical_kernel(entries):
+    assert_dimension_matches(entries)
+
+
+@st.composite
+def one_dropped_matrices(draw):
+    """Square U diag(s) V^H with one value below the threshold behind a gap
+    of more than 300; the dropped right singular vector lies in the top
+    quarter of the window ("edge"), in the rest ("interior") or anywhere."""
+    n = draw(st.integers(4, 40))
+    kept = draw(st.lists(st.floats(-6, 1).map(lambda e: 10.0 ** e),
+                         min_size=n - 1, max_size=n - 1))
+    dropped = draw(st.one_of(st.just(0.0), st.floats(-17, -8.5).map(lambda e: 10.0 ** e)))
+    where = draw(st.sampled_from(["edge", "interior", "anywhere"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x = gaussian(n, n)
+    top = int(0.75 * n)
+    if where == "edge":
+        x[:top, 0] = 0.0
+    elif where == "interior":
+        x[top:, 0] = 0.0
+    v = np.linalg.qr(x)[0]  # column 0 spans x[:, 0]
+    u = np.linalg.qr(gaussian(n, n))[0]
+    return (u * np.array([dropped, *kept])) @ v.conj().T, where
+
+
+@given(one_dropped_matrices())
+@settings(max_examples=100, deadline=None)
+def test_one_dropped_value_is_counted_from_one_vector(case):
+    entries, where = case
+    if where == "anywhere":
+        assert_dimension_matches(entries)
+        return
+    # a vector wholly inside or outside the top quarter is decided without
+    # the full SVD
+    with mock.patch.object(sections, "_full_svd_kernel",
+                           side_effect=AssertionError("full SVD taken")):
+        got = kernel_dimension(entries)
+    assert got == numerical_kernel(entries).dimension == (where == "interior")
+
+
+def _planted(values, rotate: bool, seed: int = 0) -> np.ndarray:
+    """diag(values), or U diag(values) V^H for fixed random unitaries."""
+    if not rotate:
+        return np.diag(np.asarray(values, dtype=complex))
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            for _ in range(2))
+    return (u * np.asarray(values)) @ v.conj().T
+
+
+_TAU = SV_THRESHOLD
+_GAP_DROPPED = 5e-9  # below the threshold; the kept value above it sets the gap ratio
+
+
+@pytest.mark.parametrize("small", [
+    [_TAU * (1 + 1e-13)],                          # kept, just
+    [_TAU],                                        # kept, at the threshold
+    [_TAU * (1 - 1e-13)],                          # dropped, just
+    [_TAU * (1 + 1e-13), 1e-12],                   # kept value at the threshold
+    [_TAU * (1 - 1e-13), 1e-12],                   # two dropped, gap below 100
+    [_GAP_DROPPED * SPECTRAL_GAP * (1 + 1e-13), _GAP_DROPPED],   # gap just clean
+    [_GAP_DROPPED * SPECTRAL_GAP, _GAP_DROPPED],                 # gap at the factor
+    [_GAP_DROPPED * SPECTRAL_GAP * (1 - 1e-13), _GAP_DROPPED],   # gap just short
+], ids=["tau+", "tau", "tau-", "kept-tau+", "kept-tau-", "gap+", "gap", "gap-"])
+@pytest.mark.parametrize("where", ["first", "last", "rotated"])
+def test_kernel_dimension_at_the_threshold_and_the_gap(small, where):
+    values = [1.0, 0.7, 0.5, 0.3, 0.2, 0.1][: 8 - len(small)] + small
+    if where == "first":  # interior singular vectors
+        values = values[::-1]
+    assert_dimension_matches(_planted(values, where == "rotated"))
+
+
+@pytest.mark.parametrize("entries", [
+    np.zeros((4, 4)),
+    np.ones((5, 5)),                                        # rank one
+    np.diag([1.0, 0.0, 1.0, 1.0]),                          # one exact zero inside
+    toeplitz_matrix(Monomial(1), 8).entries,                # kills the top edge
+    toeplitz_matrix(Monomial(1), 8).adjoint().entries,      # kills e_0
+    toeplitz_matrix(Monomial(2), 12).adjoint().entries,     # two exact zeros
+    th_section(quarter_twist(), quarter_twist() * Monomial(3), -1, 64).entries,
+    th_section(quarter_twist(), quarter_twist() * Monomial(3), 1, 256).entries,
+])
+def test_kernel_dimension_of_singular_sections(entries):
+    assert_dimension_matches(entries)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
+                                 complex(1.0, np.inf)])
+def test_non_finite_sections_are_refused(bad):
+    entries = np.eye(4, dtype=complex)
+    entries[1, 2] = bad
+    for fn in (numerical_kernel, kernel_dimension):
+        with pytest.raises(PreconditionViolation, match="finite"):
+            fn(entries)
+
+
+@given(st.integers(1, 24), st.floats(0.5, 1.0, exclude_max=True),
+       st.floats(-8, 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_gram_certificate_never_certifies_below_the_floor(n, frac, log_top, seed):
+    floor = 2 * SV_THRESHOLD
+    rng = np.random.default_rng(seed)
+    smallest = frac * floor
+    values = np.sort(np.exp(rng.uniform(np.log(smallest), np.log(max(10.0 ** log_top,
+                                                                     smallest)), n)))
+    values[0] = smallest
+    assert not sections._certified_full_rank(_planted(values, True, seed), floor)
+
+
+def test_gram_certificate_certifies_well_conditioned_sections():
+    a = quarter_twist()
+    floor = 2 * SV_THRESHOLD
+    assert sections._certified_full_rank(np.eye(3), floor)
+    assert sections._certified_full_rank(th_section(a, a * Monomial(1), 1, 256).entries, floor)
+    assert not sections._certified_full_rank(np.eye(3)[:2], floor)   # not square
+    assert not sections._certified_full_rank(np.diag([1.0, 1e-9]), floor)
+
+
+def test_kernel_dimension_counts_with_the_given_threshold():
+    # sigma_min = 1e-4: certified nonsingular at the default threshold, the
+    # one dropped value (an interior vector) at 1e-3
+    entries = np.diag([1e-4, 1.0, 1.0, 1.0])
+    assert kernel_dimension(entries) == numerical_kernel(entries).dimension == 0
+    assert kernel_dimension(entries, 1e-3) == numerical_kernel(entries, 1e-3).dimension == 1
+
+
+def test_section_kernel_counts_with_the_configured_threshold():
+    # sigma_min of the plus section is about 6e-6, behind a gap to 0.31
+    a0 = sy.product(Monomial(-1), PowerArc(0.5, CirclePoint(1.0)))
+    pair = make_matching_pair(sy.product(a0, Monomial(-1)), a0)
+    entries = th_section(pair.a, pair.b, 1, 256).entries
+    assert Analysis(pair, 1.5).section_kernel(1) == 0
+    loose = Analysis(pair, 1.5, Tolerances(sv_threshold=1e-3))
+    assert loose.section_kernel(1) == numerical_kernel(entries, 1e-3).dimension == 1
 
 
 # ---------------------------------------------------------------------------
