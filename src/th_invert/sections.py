@@ -288,28 +288,6 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     if _nothing_dropped(s, cols, sv_threshold):
         return NumericalKernel(0, np.zeros((cols, 0)), sv_threshold,
                                float(s.min()) if len(s) else None, None, 0)
-    return _full_svd_kernel(entries, sv_threshold, gap_factor)
-
-
-def _entries(m: FiniteSectionMatrix | np.ndarray) -> np.ndarray:
-    """The matrix of ``m``; PreconditionViolation unless every entry is finite."""
-    entries = m.entries if isinstance(m, FiniteSectionMatrix) else np.asarray(m)
-    if not np.isfinite(entries).all():
-        raise PreconditionViolation("section entries must be finite")
-    return entries
-
-
-def _nothing_dropped(s: np.ndarray, cols: int, sv_threshold: float) -> bool:
-    """Every singular value clears the threshold by relative 1e-9 (a tie
-    margin for the values of two LAPACK drivers) and there are no more
-    columns than values: no value is dropped and neither refusal can fire."""
-    return cols <= len(s) and not np.any(s < sv_threshold * (1 + 1e-9))
-
-
-def _full_svd_kernel(entries: np.ndarray, sv_threshold: float,
-                     gap_factor: float) -> NumericalKernel:
-    """Count, refusals, edge filter and basis from one full SVD."""
-    cols = entries.shape[1]
     _, s, vh = np.linalg.svd(entries)
     dropped = s < sv_threshold
     n_dropped = int(np.count_nonzero(dropped))
@@ -334,6 +312,21 @@ def _full_svd_kernel(entries: np.ndarray, sv_threshold: float,
     basis = np.stack(vectors, axis=1) if vectors else np.zeros((cols, 0))
     return NumericalKernel(len(vectors), basis, sv_threshold, smallest_kept,
                            largest_dropped, edge)
+
+
+def _entries(m: FiniteSectionMatrix | np.ndarray) -> np.ndarray:
+    """The matrix of ``m``; PreconditionViolation unless every entry is finite."""
+    entries = m.entries if isinstance(m, FiniteSectionMatrix) else np.asarray(m)
+    if not np.isfinite(entries).all():
+        raise PreconditionViolation("section entries must be finite")
+    return entries
+
+
+def _nothing_dropped(s: np.ndarray, cols: int, sv_threshold: float) -> bool:
+    """Every singular value clears the threshold by relative 1e-9 (a tie
+    margin for the values of two LAPACK drivers) and there are no more
+    columns than values: no value is dropped and neither refusal can fire."""
+    return cols <= len(s) and not np.any(s < sv_threshold * (1 + 1e-9))
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -365,28 +358,32 @@ def _certified_full_rank(entries: np.ndarray, floor: float) -> bool:
     return _zpotrf(gram, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
-def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray, sv_threshold: float,
-                           gap_factor: float) -> Optional[int]:
+def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray,
+                           sv_threshold: float) -> Optional[int]:
     """The count of the full SVD when exactly one value is dropped behind a
     clean gap, from one vector by inverse iteration; None when undecided.
 
-    Applies to a square matrix whose values-only SVD has s[-1] below the
-    threshold and s[-2] above it, each by relative 1e-9, and s[-2]/s[-1] at
-    least gap_factor (1 + 1e-9) or s[-1] == 0: the full SVD then drops the
-    same one value and cannot refuse.  Three steps of inverse iteration on
-    A^H A, through one LU of A with its zero or tiny pivots raised to
-    eps s[0], give a unit x.  With r = ||A x|| + n u ||A||_F, which bounds
-    the rounding of A x and of s[-2], the angle between x and the dropped
-    singular vector has sin(theta) <= r / (s[-2] - r), and the top-edge
-    mass ||x[top:]||^2 is within 4 sin(theta) of the full SVD vector's.
-    An edge vector counts 0, any other 1; a mass within that margin of 1/2
-    is left to the full SVD.
+    The values-only and the full SVD are two LAPACK drivers whose values
+    agree to an absolute d = n u s[0], not to a relative margin: a value
+    far below s[0] may differ between them by much more than its last
+    digits.  So this applies only to a square matrix whose values-only SVD
+    has s[-1] + d below the threshold, s[-2] - d at least the threshold and
+    s[-2] - d >= SPECTRAL_GAP (s[-1] + d): whatever the full SVD reads
+    within d of these values, it drops the same one value and cannot
+    refuse.  Three steps of inverse iteration on A^H A, through one LU of A
+    with its zero or tiny pivots raised to eps s[0], give a unit x.  With
+    r = ||A x|| + n u ||A||_F, which bounds the rounding of A x and of
+    s[-2], the angle between x and the dropped singular vector has
+    sin(theta) <= r / (s[-2] - r), and the top-edge mass ||x[top:]||^2 is
+    within 4 sin(theta) of the full SVD vector's.  An edge vector counts 0,
+    any other 1; a mass within that margin of 1/2 is left to the full SVD.
     """
     n = len(s)
     if entries.shape != (n, n) or n < 2:
         return None
-    one_dropped = s[-1] < sv_threshold * (1 - 1e-9) and s[-2] >= sv_threshold * (1 + 1e-9)
-    if not one_dropped or (s[-1] and s[-2] / s[-1] < gap_factor * (1 + 1e-9)):
+    d = n * _UNIT_ROUNDOFF * s[0]
+    if not (s[-1] + d < sv_threshold <= s[-2] - d
+            and s[-2] - d >= SPECTRAL_GAP * (s[-1] + d)):
         return None
     a = np.asarray(entries, dtype=complex)
     lu, piv, _ = _zgetrf(a)  # LAPACK directly: a singular U is expected, not a warning
@@ -413,10 +410,9 @@ def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray, sv_threshold: flo
 
 
 def kernel_dimension(m: FiniteSectionMatrix | np.ndarray,
-                     sv_threshold: float = SV_THRESHOLD,
-                     gap_factor: float = SPECTRAL_GAP) -> int:
-    """``numerical_kernel(m, sv_threshold, gap_factor).dimension``, with the
-    same NoSpectralGap refusals, from the cheapest of four stages:
+                     sv_threshold: float = SV_THRESHOLD) -> int:
+    """``numerical_kernel(m, sv_threshold).dimension``, with the same
+    NoSpectralGap refusals, from the cheapest of four stages:
 
     1. a square section with sigma_min >= 2 sv_threshold certified by a
        shifted Gram-Cholesky test (``_certified_full_rank``: with
@@ -429,7 +425,7 @@ def kernel_dimension(m: FiniteSectionMatrix | np.ndarray,
     3. exactly one dropped value behind a clean gap: its vector, by inverse
        iteration, decides edge (0) or not (1) when its certified angle
        leaves no doubt (``_one_dropped_dimension``);
-    4. otherwise the full SVD, exactly as ``numerical_kernel`` runs it.
+    4. otherwise ``numerical_kernel`` itself, the only stage that refuses.
     """
     entries = _entries(m)
     if _certified_full_rank(entries, 2 * sv_threshold):
@@ -437,10 +433,10 @@ def kernel_dimension(m: FiniteSectionMatrix | np.ndarray,
     s = np.linalg.svd(entries, compute_uv=False)
     if _nothing_dropped(s, entries.shape[1], sv_threshold):
         return 0
-    dim = _one_dropped_dimension(entries, s, sv_threshold, gap_factor)
+    dim = _one_dropped_dimension(entries, s, sv_threshold)
     if dim is not None:
         return dim
-    return _full_svd_kernel(entries, sv_threshold, gap_factor).dimension
+    return numerical_kernel(entries, sv_threshold).dimension
 
 
 def apply_operator(a: PCSymbol, b: PCSymbol, sign: int, poly: np.ndarray,

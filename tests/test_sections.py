@@ -1,11 +1,9 @@
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import LinAlgWarning
 
 from th_invert import sections
 from th_invert import symbols as sy
@@ -33,6 +31,10 @@ from th_invert.symbols import (CirclePoint, Const, Monomial, PiecewiseConst, Pow
                                fourier_coefficient)
 
 from conftest import dense_compression
+
+# a singular LU in the one-vector stage of kernel_dimension is expected and
+# must stay silent
+pytestmark = pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 
 
 def hankel_entry_oracle(b, j, k):
@@ -354,14 +356,11 @@ def assert_dimension_matches(entries):
     """kernel_dimension equals numerical_kernel's dimension, or both refuse
     with the same message."""
     out = []
-    # a singular LU in the one-vector stage is expected and must stay silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        for fn in (kernel_dimension, lambda e: numerical_kernel(e).dimension):
-            try:
-                out.append(fn(entries))
-            except NoSpectralGap as exc:
-                out.append(f"refused: {exc}")
+    for fn in (kernel_dimension, lambda e: numerical_kernel(e).dimension):
+        try:
+            out.append(fn(entries))
+        except NoSpectralGap as exc:
+            out.append(f"refused: {exc}")
     assert out[0] == out[1]
 
 
@@ -406,7 +405,7 @@ def test_one_dropped_value_is_counted_from_one_vector(case):
         return
     # a vector wholly inside or outside the top quarter is decided without
     # the full SVD
-    with mock.patch.object(sections, "_full_svd_kernel",
+    with mock.patch.object(sections, "numerical_kernel",
                            side_effect=AssertionError("full SVD taken")):
         got = kernel_dimension(entries)
     assert got == numerical_kernel(entries).dimension == (where == "interior")
@@ -443,6 +442,43 @@ def test_kernel_dimension_at_the_threshold_and_the_gap(small, where):
     if where == "first":  # interior singular vectors
         values = values[::-1]
     assert_dimension_matches(_planted(values, where == "rotated"))
+
+
+@pytest.mark.parametrize("rel", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, -1e-9, -1e-7, -1e-5])
+@pytest.mark.parametrize("dropped", [5e-9, 1.2e-10])
+@pytest.mark.parametrize("n", [8, 64])
+def test_kernel_dimension_near_the_gap(rel, dropped, n):
+    # kept/dropped ratios within 100 (1 +- 1e-5): the values-only and the
+    # full SVD differ by up to n u s[0], far more than rel on 1.2e-10
+    kept = dropped * SPECTRAL_GAP * (1 + rel)
+    values = list(np.geomspace(1.0, 1e-7, n - 2)) + [kept, dropped]
+    for rotate in (False, True):
+        for seed in range(3):
+            entries = _planted(values, rotate, seed)
+            assert_dimension_matches(entries)
+            assert_dimension_matches(entries[::-1, ::-1])  # interior vector
+
+
+@pytest.mark.parametrize("rel", [1e-9, 1e-7, 1e-5, -1e-9, -1e-7, -1e-5])
+def test_kernel_dimension_near_the_threshold(rel):
+    values = list(np.geomspace(1.0, 1e-6, 62)) + [_TAU * (1 + rel), 1e-12]
+    for seed in range(3):
+        assert_dimension_matches(_planted(values, True, seed))
+
+
+def test_one_vector_stage_leaves_margins_within_rounding_to_the_full_svd():
+    # the two SVD drivers may differ by n u s[0] = 7e-15 on these 64 x 64
+    # matrices: a ratio 100 (1 + 1e-6) over a dropped 1.2e-10, or a value
+    # tau (1 - 1e-7), is within that, and only the full SVD may decide it
+    def one_vector(small):
+        entries = _planted(list(np.geomspace(1.0, 1e-5, 64 - len(small))) + small, True)
+        s = np.linalg.svd(entries, compute_uv=False)
+        return sections._one_dropped_dimension(entries, s, SV_THRESHOLD)
+
+    assert one_vector([1.2e-8 * (1 + 1e-6), 1.2e-10]) is None
+    assert one_vector([1.2e-8 * (1 + 1e-3), 1.2e-10]) == 1
+    assert one_vector([_TAU * (1 - 1e-7)]) is None
+    assert one_vector([_TAU * (1 - 1e-5)]) == 1
 
 
 @pytest.mark.parametrize("entries", [
