@@ -21,9 +21,10 @@ certified distance from the origin (:func:`exact_index`); the sampled
 curves remain the fallback, and the independent witnesses of the index
 routes.
 
-Every sampled curve and symbol check starts from one base grid of constant
-size, GRID_N angles by Y_GRID_N finite y samples per arc; curves are then
-refined adaptively wherever a step turns too far about the origin.
+Every sampled curve starts from one base grid of constant size, GRID_N
+angles by Y_GRID_N finite y samples per arc, and is refined adaptively
+wherever a step turns too far about the origin; the Fredholm check of the
+T+H symbol samples angles only and certifies its arcs in closed form.
 """
 
 from __future__ import annotations
@@ -346,6 +347,7 @@ class _Arc(NamedTuple):
     bound: float    # certified lower bound of the modulus along the arc
     nearest: float  # smallest modulus at the arc points nearest the roots;
                     # computed only when bound <= tol, inf otherwise
+    y: float        # y of the arc point nearest the closest root, 0 without roots
 
 
 def _turn_fraction(z: complex) -> float:
@@ -441,13 +443,14 @@ def _polynomial_arc(c0: complex, c1: complex, c2: complex, p: float, tol: float
         if found is None:
             return None
         bound *= found[0]
-        near.append(found[1])
+        near.append(found)
         turn += _arc_turn(1.0 - 1.0 / r, p) if r else math.nan
+    ys = [_nu_y(point) for _, point in sorted(near, key=lambda dn: dn[0])]
     if bound <= tol:
-        for point in near:
-            nu, _ = weight_functions(p, _nu_y(point))
+        for y in ys:
+            nu, _ = weight_functions(p, y)
             nearest = min(nearest, abs(c0 + nu * (c1 + nu * c2)))
-    return _Arc(c0, c0 + c1 + c2, turn, bound, nearest)
+    return _Arc(c0, c0 + c1 + c2, turn, bound, nearest, ys[0] if ys else 0.0)
 
 
 def _scalar_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
@@ -490,12 +493,13 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
         for e0, e1 in ((1.0, -1.0), (-1.0, 1.0)))
     turn = sum(math.remainder(phi - sy.phase(-r), TWO_PI) for r in roots) - (2 * phi - math.pi)
     nearest = math.inf
+    ys = [math.log(a.real) / math.pi if a.real > 0 else -math.inf
+          for _, a in sorted(zip(dist, along), key=lambda da: da[0])]
     if bound <= tol:
-        for a in along:
-            y = math.log(a.real) / math.pi if a.real > 0 else -math.inf
+        for y in ys:
             nu, h = weight_functions(p, y)
             nearest = min(nearest, abs(gr * nu + gl * (1.0 - nu) + k / 2.0 * h))
-    return _Arc(gl, gr, turn, bound, nearest)
+    return _Arc(gl, gr, turn, bound, nearest, ys[0])
 
 
 def _quotient_term(a: PCSymbol) -> Optional[sy.ExpPieces]:
@@ -738,59 +742,35 @@ def _th_symbol_from(sides: tuple, theta: float, nu, h):
 
 @dataclass(frozen=True)
 class FredholmCheck:
+    """Verdict of :func:`th_fredholm_check`: ``min_modulus`` is the smallest
+    sample or certified arc bound, ``witness`` the (angle, y) of it."""
+
     fredholm: bool
     min_modulus: float
-    witness: Optional[tuple[float, float]]  # (angle, y) minimizing the symbol
-
-
-def _zoomed_minimum(sweep: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
-                    values: np.ndarray, tol: float) -> tuple[float, float]:
-    """(y, modulus) of the smallest modulus of ``sweep`` found near its
-    smallest sample ``values`` over ``ys``.
-
-    The symbol can pass through the origin between two samples.  While the
-    modulus at the smallest sample is no larger than a step to a neighbour,
-    a zero may lie between the neighbours: the bracket between them is
-    sampled at 9 points and narrowed to the neighbours of the new minimum,
-    until the modulus falls to ``tol`` or the bracket to round-off.  Only
-    the weight functions are evaluated again.
-    """
-    best = None
-    while True:
-        i = int(np.argmin(np.abs(values)))
-        v = complex(values[i])
-        if best is None or abs(v) < best[1]:
-            best = (float(ys[i]), abs(v))
-        lo, hi = max(i - 1, 0), min(i + 1, len(ys) - 1)
-        steps = max(abs(v - complex(values[lo])), abs(complex(values[hi]) - v))
-        if best[1] <= tol or abs(v) > steps or not np.isfinite(ys[i]):
-            return best
-        # the bracket stays finite: the samples at y = +-inf are exact limits
-        y_lo = ys[lo] if np.isfinite(ys[lo]) else ys[i]
-        y_hi = ys[hi] if np.isfinite(ys[hi]) else ys[i]
-        if not y_hi - y_lo > 1e-15 * max(1.0, abs(y_lo)):
-            return best
-        ys = np.linspace(y_lo, y_hi, 9)
-        values = sweep(ys)
+    witness: tuple[float, float]
 
 
 def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> FredholmCheck:
-    """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle."""
-    ys = _y_axis()
-    weights = _base_weights(_as_exponent(p).p)
+    """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle.
+
+    Off the jumps of a and b the determinant a(t) a(conj t) does not depend
+    on y; it is sampled at the interior angles of the GRID_N-point grid, with
+    witness y = 0.  At the jumps the symbol is an arc in y, certified by its
+    root distances as in :func:`exact_index`, with witness the y of the arc
+    point nearest the closest root: the 2x2 determinant, a quadratic in nu_p
+    as h_p^2 = 4 nu_p (nu_p - 1), and at t = +-1 the scalar :func:`_flip_arc`.
+    Fredholm when every sample and arc bound exceeds ``min_modulus_tol``.  An
+    arc out of reach (p within about 1.6e-5 of 1, or above about 6.3e4)
+    counts as 0, with witness y = NaN: its operator is never Fredholm.
+    """
+    pe = _as_exponent(p).p
     jumps = {pt.angle for pt, _, _ in jump_set(a)} | {pt.angle for pt, _, _ in jump_set(b)}
     special = sy.dedupe_angles(
         {th for th in jumps if 0.0 < th < math.pi}
         | {TWO_PI - th for th in jumps if math.pi < th < TWO_PI}
     )
-
-    best = (math.inf, None)
-
-    def consider(val, angle, yv):
-        nonlocal best
-        if val < best[0]:
-            best = (val, (angle, yv))
+    candidates = []  # (modulus, (angle, y)); the first smallest is reported
 
     # smooth part: no jump at t nor conj(t); determinant is y-independent
     thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
@@ -803,23 +783,23 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
     dets = np.abs(a_up * a_dn)
     if len(dets):
         i = int(np.argmin(dets))
-        consider(float(dets[i]), float(smooth[i]), 0.0)
+        candidates.append((float(dets[i]), (float(smooth[i]), 0.0)))
 
-    # full y sweeps: the 2x2 determinant at jump-relevant interior points,
-    # then the scalar branch at the fixed points +-1 of the flip, each
-    # zoomed in around its smallest sample
+    # det = (al + nu (ar - al))(alc + nu (arc - alc)) + k nu (nu - 1), k = (br - bl)(blc - brc);
+    # a bound is lowered to the modulus nearest a root where round-off puts that below it
     for th in [*special, 0.0, math.pi]:
         sides = _th_sides(a, b, th)
+        if th in (0.0, math.pi):
+            found = _flip_arc(sides, th, pe, min_modulus_tol)
+        else:
+            al, ar, bl, br, alc, arc_, blc, brc = sides
+            k = (br - bl) * (blc - brc)
+            found = _polynomial_arc(al * alc, al * (arc_ - alc) + alc * (ar - al) - k,
+                                    (ar - al) * (arc_ - alc) + k, pe, min_modulus_tol)
+        candidates.append((0.0, (th, math.nan)) if found is None
+                          else (min(found.bound, found.nearest), (th, found.y)))
 
-        def at(nu, h, th=th, sides=sides):
-            m = _th_symbol_from(sides, th, nu, h)
-            return m if m.ndim == 1 else _det(m)
-
-        y_min, v_min = _zoomed_minimum(lambda y: at(*weight_functions(p, y)), ys, at(*weights),
-                                       min_modulus_tol)
-        consider(v_min, th, y_min)
-
-    min_mod, witness = best
+    min_mod, witness = min(candidates, key=lambda c: c[0])
     return FredholmCheck(min_mod > min_modulus_tol, float(min_mod), witness)
 
 

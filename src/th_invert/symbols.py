@@ -578,35 +578,25 @@ def _eval(sym: PCSymbol, theta: float, side: int) -> complex:
 
 
 def evaluate_array(sym: PCSymbol, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at generic (non-jump) angles.
+    """Vectorized evaluation at generic (non-jump) angles, in the shape of ``thetas``.
 
-    At an exact jump angle this returns the forward-side value; callers that
-    care about one-sided limits use :func:`evaluate_sides`.  A symbol with terms
-    (:func:`_exp_terms`) is evaluated from them, one lookup per term; the
-    tree is walked only down to the nodes that have terms, below an inverse
-    of a sum or where an inverse comes too close to 0 on an arc.
+    At an exact jump angle this returns the forward-side value sym(t+0);
+    callers that care about one-sided limits use :func:`evaluate_sides`.  A
+    symbol with terms (:func:`_exp_terms`) is evaluated from them, one lookup
+    per term; one without terms, such as an inverse of a sum, by :func:`_eval`.
     """
     thetas = np.asarray(thetas, dtype=float)
     rules = side_rules(sym)
-    if rules is not None:
-        thetas = np.mod(thetas, TWO_PI)
-        out = None
-        for rule in rules:
-            c, lam = _pieces_at(rule.pieces, thetas)
-            value = c * np.exp(1j * lam * thetas)
-            out = value if out is None else out + value
-        return out
-    if isinstance(sym, HalfCircleExtension):  # 1/g0(conj t) on the lower half
-        lower = thetas > math.pi
-        out = evaluate_array(sym.g0, np.where(lower, np.mod(TWO_PI - thetas, TWO_PI), thetas))
-        out[lower] = reciprocal(out[lower])
-        return out
-    if isinstance(sym, (Sum, Product)):
-        combine, parts = (sum, sym.terms) if isinstance(sym, Sum) else (math.prod, sym.factors)
-        return combine(evaluate_array(x, thetas) for x in parts)
-    if isinstance(sym, Inverse):
-        return reciprocal(evaluate_array(sym.child, thetas))
-    raise TypeError(f"unknown symbol node {type(sym)!r}")
+    if rules is None:
+        values = [_eval(sym, _canonical_angle(theta), 1) for theta in thetas.ravel().tolist()]
+        return np.array(values, dtype=complex).reshape(thetas.shape)
+    thetas = np.mod(thetas, TWO_PI)
+    out = None
+    for rule in rules:
+        c, lam = _pieces_at(rule.pieces, thetas)
+        value = c * np.exp(1j * lam * thetas)
+        out = value if out is None else out + value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,63 @@ def test_fredholm_check_finds_a_zero_between_samples():
     assert check.min_modulus <= 1e-7
 
 
+DENSE_Y = np.concatenate([[-np.inf], np.arctanh(np.linspace(-1 + 1e-6, 1 - 1e-6, 20_000)),
+                          [np.inf]])
+
+
+def th_symbol_modulus(a, b, p, theta, ys):
+    """|th_symbol| over ys: of the 2x2 determinant in the open upper half-circle."""
+    m = th_symbol(a, b, p, CirclePoint(theta), ys)
+    return np.abs(m if m.ndim < 2 else m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def dense_check_minimum(a, b, p):
+    """The smallest modulus of the T+H symbol over the smooth samples of
+    th_fredholm_check and 20 002 values of y on each of its arcs: the 2x2
+    determinant at the jumps in the open upper half-circle, the scalar
+    branch at +-1."""
+    jumps = {pt.angle for pt, _, _ in sy.jump_set(a)} | {pt.angle for pt, _, _ in sy.jump_set(b)}
+    special = sy.dedupe_angles({th for th in jumps if 0.0 < th < math.pi}
+                               | {TWO_PI - th for th in jumps if math.pi < th < TWO_PI})
+    thetas = np.linspace(0.0, math.pi, 512)[1:-1]
+    smooth = thetas[[all(abs(th - s) > 1e-12 for s in special) for th in thetas]]
+    moduli = [np.abs(sy.evaluate_array(a, smooth) * sy.evaluate_array(a, TWO_PI - smooth))]
+    moduli += [th_symbol_modulus(a, b, p, th, DENSE_Y) for th in special + [0.0, math.pi]]
+    return float(np.min(np.concatenate(moduli)))
+
+
+def one_or_two_terms():
+    return st.one_of(exp_linear_leaves(), st.builds(sy.add, exp_linear_leaves(),
+                                                    exp_linear_leaves()))
+
+
+@given(one_or_two_terms(), one_or_two_terms(), st.floats(1.1, 8.0))
+@example(sy.add(Monomial(1), Const(0.5)), sy.HalfCircleExtension(Const(cmath.exp(1j))), 2.0)
+@settings(max_examples=60, deadline=None)
+def test_fredholm_check_certifies_what_a_dense_sweep_sees(a, b, p):
+    # the check's margin is a lower bound of the symbol's modulus, so never
+    # above a dense sampling of it; away from the tolerance both decide
+    # alike.  The sweep also reads the symbol at the check's witness: a zero
+    # on an arc, as in the example at t = -1, lies between its samples.
+    tol = 1e-7
+    check = th_fredholm_check(a, b, p, min_modulus_tol=tol)
+    at_witness = float(th_symbol_modulus(a, b, p, *check.witness))
+    dense_min = min(dense_check_minimum(a, b, p), at_witness)
+    assert check.min_modulus <= dense_min * (1 + 1e-9)
+    if not tol / 10 <= dense_min <= 10 * tol:
+        assert check.fredholm == (dense_min > tol)
+
+
+def test_fredholm_check_refuses_an_arc_out_of_reach():
+    # at p = 1e5 the p-arc of a jump off +-1 is beyond the root distances,
+    # which certify nothing there; at p = 100 the same symbol is certified
+    a = PiecewiseConst((1.0, 2.0), (1.0, 2.0))
+    assert th_fredholm_check(a, Const(0.0), 100.0).fredholm
+    check = th_fredholm_check(a, Const(0.0), 1e5)
+    assert not check.fredholm and check.min_modulus == 0.0
+    assert check.witness[0] == 1.0 and math.isnan(check.witness[1])
+
+
 # ---------------------------------------------------------------------------
 # exact windings
 # ---------------------------------------------------------------------------

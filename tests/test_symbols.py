@@ -483,6 +483,19 @@ def test_evaluate_array_raises_where_an_inverse_term_comes_close_to_zero():
     assert np.array_equal(sy.evaluate_array(sym, np.array([0.5, 2.0])), [1.0, 1.0])
 
 
+def test_evaluate_array_takes_the_forward_side_of_an_extension_of_a_sum():
+    # a half-circle extension of a sum has no terms; at a break of its lower
+    # half the forward side is 1/g0 on the backward side of the mirror angle
+    h = sy.HalfCircleExtension(sy.add(PiecewiseConst((1.0, 2.0), (2.0, 1.0)),
+                                      sy.product(Const(0.1), Monomial(2)), Const(-0.1)))
+    assert sy.side_rules(h) is None
+    theta = TWO_PI - 1.0
+    right, left = evaluate(h, theta, RIGHT), evaluate(h, theta, LEFT)
+    assert abs(right - left) > 0.5
+    assert sy.evaluate_array(h, np.array([theta, 0.5])).tolist() == [right, evaluate(h, 0.5)]
+    assert sy.evaluate_array(h, theta).shape == () and sy.evaluate_array(h, theta) == right
+
+
 def test_exp_pieces_with_a_break_next_to_zero():
     # reflected, the break at 1e-15 rounds onto 2*pi and leaves an arc of one ulp
     g = sy.HalfCircleExtension(PiecewiseConst((1e-15,), (2.0,)))  # 2 above, 1/2 below
