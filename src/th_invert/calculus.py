@@ -433,18 +433,23 @@ def _polynomial_arc(c0: complex, c1: complex, c2: complex, p: float, tol: float
     """The arc of c0 + c1 nu + c2 nu^2 along nu = nu_p(y).
 
     With roots r_k, each factor nu - r_k turns by _arc_turn((r_k - 1)/r_k),
-    and |lead| * prod dist(r_k, arc) bounds the modulus from below.
+    and |lead| * prod dist(r_k, arc) bounds the modulus from below; with two
+    roots so does |lead| * min dist * |r_0 - r_1|/2, since the factor of the
+    root farther from nu is at least |r_0 - r_1|/2.
     """
     lead, roots = _roots(c0, c1, c2)
-    bound, turn, nearest = abs(lead), 0.0, math.inf
+    turn, nearest = 0.0, math.inf
     near = []
     for r in roots:
         found = _arc_distance(r, p) if cmath.isfinite(r) else None
         if found is None:
             return None
-        bound *= found[0]
         near.append(found)
         turn += _arc_turn(1.0 - 1.0 / r, p) if r else math.nan
+    dist = [d for d, _ in near]
+    bound = abs(lead) * math.prod(dist)
+    if len(roots) == 2:
+        bound = max(bound, abs(lead) * min(dist) * abs(roots[0] - roots[1]) / 2.0)
     ys = [_nu_y(point) for _, point in sorted(near, key=lambda dn: dn[0])]
     if bound <= tol:
         for y in ys:
@@ -475,9 +480,9 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     the symbol is (gr s^2 + k s - gl)/(s^2 - 1), k = +-(br - bl), along the
     ray arg s = pi/p from 0 to infinity.  Each factor s - r turns by
     pi/p - arg(-r) reduced into (-pi, pi); the denominator's roots +-1 turn
-    by 2 pi/p - pi together.  On the ray |s - r|/|s - e| >= d/(d + |e - r|)
-    with d the distance from r to the ray, which bounds the modulus after
-    pairing each root with one of +-1.
+    by 2 pi/p - pi together.  On the ray |s - r|/|s - e| >= u/(u + |e - r|),
+    u = |s - r| >= d, the distance from r to the ray, and one of the two u
+    is >= |r_0 - r_1|/2; this bounds the modulus after pairing the roots with +-1.
     """
     gl, gr, bl, br = entry
     k = br - bl if angle == 0.0 else bl - br
@@ -488,8 +493,10 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
         return None
     along = [r * ray.conjugate() for r in roots]  # roots in the frame of the ray
     dist = [abs(a.imag) if a.real > 0 else abs(a) for a in along]
+    half = abs(roots[0] - roots[1]) / 2.0
     bound = abs(gr) * max(
-        dist[0] / (dist[0] + abs(e0 - roots[0])) * dist[1] / (dist[1] + abs(e1 - roots[1]))
+        min(u0 / (u0 + abs(e0 - roots[0])) * u1 / (u1 + abs(e1 - roots[1]))
+            for u0, u1 in ((max(dist[0], half), dist[1]), (dist[0], max(dist[1], half))))
         for e0, e1 in ((1.0, -1.0), (-1.0, 1.0)))
     turn = sum(math.remainder(phi - sy.phase(-r), TWO_PI) for r in roots) - (2 * phi - math.pi)
     nearest = math.inf
@@ -761,8 +768,10 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
     point nearest the closest root: the 2x2 determinant, a quadratic in nu_p
     as h_p^2 = 4 nu_p (nu_p - 1), and at t = +-1 the scalar :func:`_flip_arc`.
     Fredholm when every sample and arc bound exceeds ``min_modulus_tol``.  An
-    arc out of reach (p within about 1.6e-5 of 1, or above about 6.3e4)
-    counts as 0, with witness y = NaN: its operator is never Fredholm.
+    arc that certifies nothing (a jump off +-1 at p within about 1.6e-5 of 1
+    or above about 6.3e4, or a flip arc that is no quadratic) counts by an end
+    within the tolerance of 0; failing that, the check raises
+    PreconditionViolation unless the rest of the symbol already fails it.
     """
     pe = _as_exponent(p).p
     jumps = {pt.angle for pt, _, _ in jump_set(a)} | {pt.angle for pt, _, _ in jump_set(b)}
@@ -771,6 +780,7 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
         | {TWO_PI - th for th in jumps if math.pi < th < TWO_PI}
     )
     candidates = []  # (modulus, (angle, y)); the first smallest is reported
+    undecided = []  # angles of the arcs that certify nothing
 
     # smooth part: no jump at t nor conj(t); determinant is y-independent
     thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
@@ -790,16 +800,27 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
     for th in [*special, 0.0, math.pi]:
         sides = _th_sides(a, b, th)
         if th in (0.0, math.pi):
+            ends = sides[:2]
             found = _flip_arc(sides, th, pe, min_modulus_tol)
         else:
             al, ar, bl, br, alc, arc_, blc, brc = sides
             k = (br - bl) * (blc - brc)
+            ends = (al * alc, ar * arc_)
             found = _polynomial_arc(al * alc, al * (arc_ - alc) + alc * (ar - al) - k,
                                     (ar - al) * (arc_ - alc) + k, pe, min_modulus_tol)
-        candidates.append((0.0, (th, math.nan)) if found is None
-                          else (min(found.bound, found.nearest), (th, found.y)))
+        if found is not None:
+            candidates.append((min(found.bound, found.nearest), (th, found.y)))
+            continue
+        end, y = min((abs(ends[0]), -math.inf), (abs(ends[1]), math.inf))
+        if end > min_modulus_tol:
+            undecided.append(th)
+        else:
+            candidates.append((end, (th, y)))
 
     min_mod, witness = min(candidates, key=lambda c: c[0])
+    if undecided and min_mod > min_modulus_tol:
+        raise PreconditionViolation(
+            f"the T+H symbol's arcs at angles {undecided} are out of reach on H^{pe:g}")
     return FredholmCheck(min_mod > min_modulus_tol, float(min_mod), witness)
 
 

@@ -617,14 +617,24 @@ def one_or_two_terms():
                                                     exp_linear_leaves()))
 
 
+# two roots near different points of an arc, where the product of their
+# distances is far below the modulus: of the 2x2 determinant at t = e^i
+# (roots about 0.5 + 1e-4 i and 0.25, modulus at least 3.7e-5), and of the
+# scalar branch at t = +-1 (roots 0.5i + 1e-4 and its -1/r, modulus about 1.2e-4)
+_R = 0.5j + 1e-4
+
+
 @given(one_or_two_terms(), one_or_two_terms(), st.floats(1.1, 8.0))
 @example(sy.add(Monomial(1), Const(0.5)), sy.HalfCircleExtension(Const(cmath.exp(1j))), 2.0)
+@example(PiecewiseConst((1.0, 2.0, TWO_PI - 1.0), (-1 + 4e-4j, -1 / 3 + 1e-4j, 1.0)),
+         Const(0.0), 2.0)
+@example(Const(1.0), PiecewiseConst((0.0, math.pi), (1 / _R - _R, 0.0)), 2.0)
 @settings(max_examples=60, deadline=None)
 def test_fredholm_check_certifies_what_a_dense_sweep_sees(a, b, p):
     # the check's margin is a lower bound of the symbol's modulus, so never
     # above a dense sampling of it; away from the tolerance both decide
     # alike.  The sweep also reads the symbol at the check's witness: a zero
-    # on an arc, as in the example at t = -1, lies between its samples.
+    # on an arc, as in the first example at t = -1, lies between its samples.
     tol = 1e-7
     check = th_fredholm_check(a, b, p, min_modulus_tol=tol)
     at_witness = float(th_symbol_modulus(a, b, p, *check.witness))
@@ -636,12 +646,20 @@ def test_fredholm_check_certifies_what_a_dense_sweep_sees(a, b, p):
 
 def test_fredholm_check_refuses_an_arc_out_of_reach():
     # at p = 1e5 the p-arc of a jump off +-1 is beyond the root distances,
-    # which certify nothing there; at p = 100 the same symbol is certified
+    # which certify nothing there, so the check cannot decide; at p = 100
+    # the same symbol is certified
     a = PiecewiseConst((1.0, 2.0), (1.0, 2.0))
     assert th_fredholm_check(a, Const(0.0), 100.0).fredholm
-    check = th_fredholm_check(a, Const(0.0), 1e5)
-    assert not check.fredholm and check.min_modulus == 0.0
-    assert check.witness[0] == 1.0 and math.isnan(check.witness[1])
+    with pytest.raises(PreconditionViolation):
+        th_fredholm_check(a, Const(0.0), 1e5)
+    # an arc end at 0 decides without a certificate: a vanishes on (1, 1.001),
+    # between two angle samples, and t - 1 at t = 1, where its flip arc has no
+    # root to measure
+    gap = PiecewiseConst((1.0, 1.001, 2.0), (0.0, 3.0, 2.0))
+    expected = calculus.FredholmCheck(False, 0.0, (1.0, math.inf))
+    assert th_fredholm_check(gap, Const(0.0), 1e5) == expected
+    check = th_fredholm_check(sy.add(Monomial(1), Const(-1.0)), Const(0.0), 2.0)
+    assert not check.fredholm and check.min_modulus == 0.0 and check.witness[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
