@@ -22,19 +22,24 @@ curves remain the fallback, and the independent witnesses of the index
 routes.
 
 Every sampled curve starts from one base grid of constant size, GRID_N
-angles by Y_GRID_N finite y samples per arc, and is refined adaptively
-wherever a step turns too far about the origin; the Fredholm check of the
-T+H symbol samples angles only and certifies its arcs in closed form.
+angles by Y_GRID_N finite y samples per arc, laid out as one array of
+parameters with segment ids and evaluated in whole-curve calls: one call
+for the stretch values, which curves of the same stretch and jumps share,
+and one ``arc_values(ids, nu, h)`` call for every arc point, with the jump
+id of each point.  It is refined adaptively wherever a step turns too far
+about the origin, all segments in one loop, with the round and size caps
+per segment.  The Fredholm check of the T+H symbol samples angles only and
+certifies its arcs in closed form.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,6 +139,13 @@ def _base_weights(p: float) -> tuple[np.ndarray, np.ndarray]:
     return nus, hs
 
 
+def _interpolate(u, w, nu):
+    """u (1 - nu) + w nu, elementwise: the point nu of the arc from u to w.
+    The ends are the first factors; numpy's complex product is not bitwise
+    commutative, and the curves keep the bits of this order."""
+    return u * (1.0 - nu) + w * nu
+
+
 def arc(u: complex, w: complex, p) -> "SymbolCurve":
     """The oriented arc {u*(1 - nu_p(y)) + w*nu_p(y)} from u to w.
 
@@ -145,7 +157,7 @@ def arc(u: complex, w: complex, p) -> "SymbolCurve":
         raise DegenerateArc("arc endpoints coincide")
     ys = _y_axis()
     nus, _ = weight_functions(p, ys)
-    values = u * (1.0 - nus) + w * nus
+    values = _interpolate(u, w, nus)
     params = np.tanh(np.clip(ys, -50, 50))
     return SymbolCurve(
         seg_ids=np.zeros(len(values), dtype=int),
@@ -198,104 +210,171 @@ def winding(curve: SymbolCurve, min_modulus_tol: float = WINDING_MIN_MODULUS) ->
     return int(nearest)
 
 
-def _adaptive_polyline(params: np.ndarray, values: np.ndarray,
-                       evaluator: Callable[[np.ndarray], np.ndarray]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Insert parameter midpoints until no step subtends more than 0.35
-    radians at the origin, for at most 48 rounds and while the polyline has
-    at most 400 000 points.
+# Refinement caps, per segment: rounds of midpoint insertion, and the size
+# beyond which a segment is no longer refined.
+REFINE_ROUNDS = 48
+REFINE_MAX_POINTS = 400_000
 
-    Curves passing exactly through the origin keep near-pi steps at every
-    depth; the round/size caps end the search and the tiny resulting
-    minimum modulus fails the Fredholm tolerance downstream.
+
+@dataclass(frozen=True)
+class _Stretch:
+    """The stretch symbol of a curve: ``symbol``, or symbol/~symbol when
+    ``quotient``.  ``evaluate`` takes it at angles in [0, 2 pi) and is left
+    out of equality, so that curves with one stretch share its values."""
+
+    symbol: PCSymbol
+    quotient: bool
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+
+
+class _Grid(NamedTuple):
+    """The base grid of a curve, without its closing point; read-only."""
+
+    seg_ids: np.ndarray
+    params: np.ndarray
+    seg_jump: np.ndarray   # jump id of each segment's arc, -1 for a stretch
+    inner: np.ndarray      # mask of the stretch points evaluated: all but the ends
+    starts: np.ndarray     # the first point of each stretch, after jump j
+    stops: np.ndarray      # the last point of each stretch, before jump j + 1
+    arcs: np.ndarray       # mask of the arc points
+    arc_jumps: np.ndarray  # the jump id of each arc point
+
+
+def _read_only(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=2)
+def _base_grid(angles: tuple) -> _Grid:
+    """The base grid of a curve with jumps at ``angles``, shared by every
+    curve with those jumps: the two signs of b take their two curves in
+    turn, so two grids serve both.
+
+    Segment 2j is the stretch from jump j to jump j + 1 (cyclically), its
+    ends included, with GRID_N points per turn and at least 8 inside it;
+    segment 2j + 1 is the arc at jump j + 1, in u = tanh(y) over
+    :func:`_y_axis`.  Without jumps the one segment runs over [0, 2 pi],
+    every point evaluated.
     """
-    params = np.asarray(params, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    for _ in range(48):
+    if not angles:
+        params = np.concatenate([np.linspace(0.0, TWO_PI, GRID_N, endpoint=False), [TWO_PI]])
+        none = np.arange(0)
+        return _Grid(*_read_only(np.zeros(len(params), dtype=int), params, np.array([-1]),
+                                 np.ones(len(params), dtype=bool), none, none,
+                                 np.zeros(len(params), dtype=bool), none))
+    k = len(angles)
+    us = np.tanh(_y_axis())
+    pieces = []
+    for j, a0 in enumerate(angles):
+        following = angles[(j + 1) % k]
+        a1 = following if following > a0 else following + TWO_PI
+        npts = max(8, int(round(GRID_N * (a1 - a0) / TWO_PI)))
+        pieces += [np.linspace(a0, a1, npts + 2), us]
+    sizes = np.array([len(x) for x in pieces])
+    starts = (np.cumsum(sizes) - sizes)[::2]
+    stops = starts + sizes[::2] - 1
+    seg_ids = np.repeat(np.arange(2 * k), sizes)
+    seg_jump = np.where(np.arange(2 * k) % 2 == 1, (np.arange(2 * k) // 2 + 1) % k, -1)
+    arcs = seg_jump[seg_ids] >= 0
+    inner = ~arcs
+    inner[starts] = inner[stops] = False
+    return _Grid(*_read_only(seg_ids, np.concatenate(pieces), seg_jump, inner,
+                             starts, stops, arcs, seg_jump[seg_ids[arcs]]))
+
+
+@lru_cache(maxsize=2)
+def _base_stretch(stretch: _Stretch, angles: tuple) -> np.ndarray:
+    """The stretch values at the evaluated points of ``_base_grid(angles)``;
+    read-only.  det U1 = (a g^-1)/(~a ~g^-1) and the flip curve's g are the
+    same for both signs of b, so both signs read them from here."""
+    grid = _base_grid(angles)
+    values = stretch.evaluate(np.mod(grid.params[grid.inner], TWO_PI))
+    values.flags.writeable = False
+    return values
+
+
+def _refine(seg_ids, params, values, seg_jump, stretch: _Stretch, arc_values, p: float):
+    """Insert parameter midpoints until no step of a segment subtends more
+    than 0.35 radians at the origin, for at most REFINE_ROUNDS rounds and
+    while the segment has at most REFINE_MAX_POINTS points.
+
+    All segments are refined together: each round takes the step angles of
+    the whole curve once, leaves out the steps from one segment to the
+    next, and evaluates the stretch midpoints in one call and the arc
+    midpoints in another, so each segment gets exactly the points that
+    refining it alone would give.  Curves passing exactly through the
+    origin keep near-pi steps at every depth; the caps end the search and
+    the tiny resulting minimum modulus fails the Fredholm tolerance
+    downstream.
+    """
+    for _ in range(REFINE_ROUNDS):
         with np.errstate(divide="ignore", invalid="ignore"):
             dphi = np.abs(np.angle(values[1:] / values[:-1]))
-        bad = dphi > 0.35
-        if not bad.any() or len(params) > 400_000:
+        bad = (dphi > 0.35) & (seg_ids[1:] == seg_ids[:-1])
+        if len(values) > REFINE_MAX_POINTS:
+            bad &= (np.bincount(seg_ids) <= REFINE_MAX_POINTS)[seg_ids[1:]]
+        left = np.flatnonzero(bad)
+        if not len(left):
             break
-        mids = 0.5 * (params[:-1][bad] + params[1:][bad])
-        mvals = evaluator(mids)
-        idx = np.nonzero(bad)[0] + 1
-        params = np.insert(params, idx, mids)
-        values = np.insert(values, idx, mvals)
-    return params, values
+        mids = 0.5 * (params[left] + params[left + 1])
+        sid = seg_ids[left]
+        jump = seg_jump[sid]
+        on_arc = jump >= 0
+        mvals = np.empty(len(mids), dtype=complex)
+        if not on_arc.all():
+            mvals[~on_arc] = stretch.evaluate(np.mod(mids[~on_arc], TWO_PI))
+        if on_arc.any():
+            with np.errstate(divide="ignore"):
+                nu, h = weight_functions(p, np.arctanh(mids[on_arc]))
+            mvals[on_arc] = arc_values(jump[on_arc], nu, h)
+        seg_ids = np.insert(seg_ids, left + 1, sid)
+        params = np.insert(params, left + 1, mids)
+        values = np.insert(values, left + 1, mvals)
+    return seg_ids, params, values
 
 
 def _assemble_closed_curve(
-    sides: dict,
-    cont_values: Callable[[np.ndarray], np.ndarray],
-    arc_values: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+    sides: Mapping,
+    stretch: _Stretch,
+    arc_values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     p,
 ) -> SymbolCurve:
     """Concatenate continuous stretches with arc insertions at each jump.
 
     ``sides`` maps each jump angle, in increasing order, to the values at
-    t-0 and t+0.  The curve starts just after the first jump (or at angle 0
-    when there is none) and is explicitly closed by repeating its first
-    point.  Every segment starts from the base grid and is refined
-    adaptively near the origin, so close approaches are resolved.  Arcs are
-    parametrized by u = tanh(y) in [-1, 1]; ``arc_values(angle, nu, h)``
-    gets the weights nu_p(y), h_p(y), taken from :func:`_base_weights` on
-    the base grid and evaluated afresh only at the inserted midpoints.
+    t-0 and t+0; jump j is the j-th of them.  The curve starts just after
+    the first jump (or at angle 0 when there is none) and is explicitly
+    closed by repeating its first point.  It is laid out once, on
+    :func:`_base_grid`, and evaluated in whole-curve calls: the stretch
+    values come from :func:`_base_stretch`, and every arc point from one
+    call ``arc_values(ids, nu, h)``, which gets the jump id of each point
+    and its weights nu_p(y), h_p(y), elementwise.  Arcs are parametrized
+    by u = tanh(y) in [-1, 1].  :func:`_refine` then refines every segment
+    near the origin, with its caps per segment, so close approaches are
+    resolved.
     """
     pe = _as_exponent(p).p
-    us0 = np.tanh(_y_axis())
-    weights0 = _base_weights(pe)
-    pieces: list[np.ndarray] = []
-    seg_ids: list[np.ndarray] = []
-    params: list[np.ndarray] = []
-
-    def emit(par, vals):
-        pieces.append(np.asarray(vals, dtype=complex))
-        params.append(np.asarray(par, dtype=float))
-        seg_ids.append(np.full(len(vals), len(seg_ids), dtype=int))
-
-    def arc_evaluator(theta):
-        def ev(us):
-            with np.errstate(divide="ignore"):
-                return arc_values(theta, *weight_functions(pe, np.arctanh(us)))
-
-        return ev
-
-    def stretch_evaluator(thetas):
-        return cont_values(np.mod(thetas, TWO_PI))
-
-    jump_angles = list(sides)
-    if not jump_angles:
-        thetas = np.concatenate([np.linspace(0.0, TWO_PI, GRID_N, endpoint=False), [TWO_PI]])
-        vals = cont_values(np.mod(thetas, TWO_PI))
-        thetas, vals = _adaptive_polyline(thetas, vals, stretch_evaluator)
-        emit(thetas[:-1], vals[:-1])
-        start = vals[0]
-    else:
-        start = sides[jump_angles[0]][1]
-        k = len(jump_angles)
-        for j in range(k):
-            a0 = jump_angles[j]
-            theta_next = jump_angles[(j + 1) % k]
-            a1 = theta_next if theta_next > a0 else theta_next + TWO_PI
-            npts = max(8, int(round(GRID_N * (a1 - a0) / TWO_PI)))
-            thetas = np.linspace(a0, a1, npts + 2)[1:-1]  # open interior
-            inner = cont_values(np.mod(thetas, TWO_PI))
-            vals = np.concatenate([[sides[a0][1]], inner, [sides[theta_next][0]]])
-            par = np.concatenate([[a0], thetas, [a1]])
-            par, vals = _adaptive_polyline(par, vals, stretch_evaluator)
-            emit(par, vals)
-            ev = arc_evaluator(theta_next)
-            apar, avals = _adaptive_polyline(us0, arc_values(theta_next, *weights0), ev)
-            emit(apar, avals)
-
-    values = np.concatenate(pieces)
-    values = np.concatenate([values, [start]])  # explicit closure
-    seg_arr = np.concatenate(seg_ids + [[seg_ids[-1][-1]]])
-    par_arr = np.concatenate(params + [[params[0][0]]])
+    angles = tuple(sides)
+    grid = _base_grid(angles)
+    values = np.empty(len(grid.params), dtype=complex)
+    values[grid.inner] = _base_stretch(stretch, angles)
+    if angles:
+        ends = list(sides.values())
+        values[grid.starts] = [right for _, right in ends]
+        values[grid.stops] = [left for left, _ in ends[1:] + ends[:1]]
+        nus, hs = _base_weights(pe)
+        values[grid.arcs] = arc_values(grid.arc_jumps, np.tile(nus, len(angles)),
+                                       np.tile(hs, len(angles)))
+    seg_ids, params, values = _refine(grid.seg_ids, grid.params, values, grid.seg_jump,
+                                      stretch, arc_values, pe)
+    # close explicitly; without jumps the last point, at 2 pi, gives way to the first
+    body = slice(None) if angles else slice(None, -1)
+    values = np.append(values[body], values[0])
     return SymbolCurve(
-        seg_ids=seg_arr,
-        params=par_arr,
+        seg_ids=np.append(seg_ids[body], seg_ids[-1]),
+        params=np.append(params[body], params[0]),
         values=values,
         closed=True,
         min_modulus=float(np.min(np.abs(values))),
@@ -458,6 +537,13 @@ def _polynomial_arc(c0: complex, c1: complex, c2: complex, p: float, tol: float
     return _Arc(c0, c0 + c1 + c2, turn, bound, nearest, ys[0] if ys else 0.0)
 
 
+def _two_root_bound(dist: list, roots: tuple) -> float:
+    """Lower bound of |x - r_0| |x - r_1| over a set at distances ``dist``
+    from the roots: their product, or the smaller times |r_0 - r_1|/2,
+    which the factor of the root farther from x exceeds."""
+    return max(dist[0] * dist[1], min(dist) * abs(roots[0] - roots[1]) / 2.0)
+
+
 def _scalar_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     """Arc of a scalar Toeplitz curve, entry (u, w): u + nu (w - u) = (w - u)(nu - r)
     with r = u/(u - w), so its bound is |w - u| dist(r, arc)."""
@@ -480,9 +566,19 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     the symbol is (gr s^2 + k s - gl)/(s^2 - 1), k = +-(br - bl), along the
     ray arg s = pi/p from 0 to infinity.  Each factor s - r turns by
     pi/p - arg(-r) reduced into (-pi, pi); the denominator's roots +-1 turn
-    by 2 pi/p - pi together.  On the ray |s - r|/|s - e| >= u/(u + |e - r|),
-    u = |s - r| >= d, the distance from r to the ray, and one of the two u
-    is >= |r_0 - r_1|/2; this bounds the modulus after pairing the roots with +-1.
+    by 2 pi/p - pi together.  Two lower bounds of the modulus hold; the
+    second is computed only where the first does not exceed ``tol``, and
+    then the larger is taken:
+
+    * on the ray |s - r|/|s - e| >= u/(u + |e - r|), u = |s - r| >= d, the
+      distance from r to the ray, and one of the two u is >= |r_0 - r_1|/2;
+      this bounds the modulus after pairing the roots with +-1;
+    * split at |s| = 1: |s^2 - 1| <= 2 inside, where the numerator is at
+      least |gr| B(r_0, r_1); and <= 2 |s|^2 outside, where the numerator
+      over s^2 is gr + k w - gl w^2 in w = 1/s, with roots 1/r_k on the
+      mirror ray arg w = -pi/p, at least |gl| B(1/r_0, 1/r_1).  B is the
+      two-root bound of :func:`_polynomial_arc` against the ray.  This one
+      holds where the roots differ much in size, which the pairing misses.
     """
     gl, gr, bl, br = entry
     k = br - bl if angle == 0.0 else bl - br
@@ -498,6 +594,11 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
         min(u0 / (u0 + abs(e0 - roots[0])) * u1 / (u1 + abs(e1 - roots[1]))
             for u0, u1 in ((max(dist[0], half), dist[1]), (dist[0], max(dist[1], half))))
         for e0, e1 in ((1.0, -1.0), (-1.0, 1.0)))
+    inverse = [1.0 / r if r else math.inf for r in roots] if bound <= tol else ()
+    if inverse and all(map(cmath.isfinite, inverse)):
+        mirrored = [abs(a.imag) if a.real > 0 else abs(a) for a in (z * ray for z in inverse)]
+        bound = max(bound, min(abs(gr) * _two_root_bound(dist, roots),
+                               abs(gl) * _two_root_bound(mirrored, inverse)) / 2.0)
     turn = sum(math.remainder(phi - sy.phase(-r), TWO_PI) for r in roots) - (2 * phi - math.pi)
     nearest = math.inf
     ys = [math.log(a.real) / math.pi if a.real > 0 else -math.inf
@@ -608,12 +709,16 @@ def toeplitz_symbol_curve(a: PCSymbol, p) -> SymbolCurve:
     a(t-0) to a(t+0) inserted at every jump point t.
     """
     sides = _jump_table(a)
+    return _assemble_closed_curve(
+        sides, _Stretch(a, False, lambda thetas: evaluate_array(a, thetas)),
+        _scalar_arc_values(sides), p)
 
-    def arc_vals(theta, nus, _):
-        lv, rv = sides[theta]
-        return lv * (1.0 - nus) + rv * nus
 
-    return _assemble_closed_curve(sides, lambda thetas: evaluate_array(a, thetas), arc_vals, p)
+def _scalar_arc_values(sides: Mapping) -> Callable:
+    """The ``arc_values`` of a scalar curve with jump table ``sides``,
+    {angle: (a(t-0), a(t+0))}: the arc from a(t-0) to a(t+0)."""
+    ends = np.array(list(sides.values()), dtype=complex).reshape(-1, 2)
+    return lambda ids, nu, _: _interpolate(ends[ids, 0], ends[ids, 1], nu)
 
 
 def _toeplitz_index(a: PCSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
@@ -670,13 +775,27 @@ def matrix_symbol_curve(u: MatrixSymbol, p) -> SymbolCurve:
     computed once per jump, before the curve is assembled.
     """
     matrices = u.one_sided()
-
-    def arc_vals(theta, nus, _):
-        ml, mr = matrices[theta]
-        return _det((1.0 - nus) * ml[..., None] + nus * mr[..., None])
-
     sides = {theta: (_det(ml), _det(mr)) for theta, (ml, mr) in matrices.items()}
-    return _assemble_closed_curve(sides, u.determinant, arc_vals, p)
+    return _assemble_closed_curve(sides, _Stretch(u.a, True, u.determinant),
+                                  _matrix_arc_values(matrices), p)
+
+
+def _matrix_arc_values(matrices: Mapping) -> Callable:
+    """The ``arc_values`` of a determinant curve with one-sided matrices
+    {angle: (L, R)}: det((1 - nu) L + nu R), entry by entry."""
+    ends = np.array(list(matrices.values()), dtype=complex).reshape(-1, 2, 2, 2)
+
+    def arc_values(ids, nu, _):
+        w = 1.0 - nu
+
+        def entry(i, j):
+            # the weights as the first factors (see _interpolate): the curve
+            # keeps the bits of (1 - nu) L + nu R
+            return w * ends[ids, 0, i, j] + nu * ends[ids, 1, i, j]
+
+        return entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0)
+
+    return arc_values
 
 
 def _matrix_index(u: MatrixSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
@@ -733,18 +852,23 @@ def _th_symbol_from(sides: tuple, theta: float, nu, h):
     """th_symbol at theta from its one-sided values ``_th_sides`` and the
     weights nu = nu_p(y), h = h_p(y)."""
     al, ar, bl, br = sides[:4]
-    top = ar * nu + al * (1.0 - nu)
+    top = _interpolate(al, ar, nu)
     if theta in (0.0, math.pi):
-        sign = 1.0 if theta == 0.0 else -1.0
-        return top + sign * (br - bl) / 2.0 * h
+        return top + _flip_weight(sides, theta) * h
     alc, arc_, blc, brc = sides[4:]
     return np.array(
         [
             [top, (br - bl) / 2j * h],
-            [(blc - brc) / 2j * h, arc_ * nu + alc * (1.0 - nu)],
+            [(blc - brc) / 2j * h, _interpolate(alc, arc_, nu)],
         ],
         dtype=complex,
     )
+
+
+def _flip_weight(sides: tuple, theta: float) -> complex:
+    """The factor of h_p(y) in the scalar symbol at t = +-1: +-(b(t+0) - b(t-0))/2,
+    with + at t = 1; ``sides`` as for :func:`_th_symbol_from`."""
+    return (1.0 if theta == 0.0 else -1.0) * (sides[3] - sides[2]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -884,9 +1008,18 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p) -> SymbolCurve:
         raise PreconditionViolation("g must be continuous off +-1")
     table = _flip_table(g, b0)
     return _assemble_closed_curve({theta: sides[:2] for theta, sides in table.items()},
-                                  lambda thetas: evaluate_array(g, thetas),
-                                  lambda theta, nu, h: _th_symbol_from(table[theta], theta, nu, h),
-                                  p)
+                                  _Stretch(g, False, lambda thetas: evaluate_array(g, thetas)),
+                                  _flip_arc_values(table), p)
+
+
+def _flip_arc_values(table: Mapping) -> Callable:
+    """The ``arc_values`` of the scalar T+H symbol at t = +-1, with entries
+    (g(t-0), g(t+0), b(t-0), b(t+0)) in ``table``: the arc of g plus the
+    Hankel term, as :func:`_th_symbol_from` gives it."""
+    gl, gr = np.array([sides[:2] for sides in table.values()], dtype=complex).reshape(-1, 2).T
+    hankel = np.array([_flip_weight(sides, theta) for theta, sides in table.items()],
+                      dtype=complex)
+    return lambda ids, nu, h: _interpolate(gl[ids], gr[ids], nu) + hankel[ids] * h
 
 
 @lru_cache(maxsize=64)

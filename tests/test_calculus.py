@@ -34,6 +34,7 @@ from th_invert.calculus import (
     winding,
     y_grid,
 )
+from th_invert.defaults import GRID_N
 from th_invert.errors import (
     CurveThroughOrigin,
     DegenerateArc,
@@ -624,8 +625,16 @@ def one_or_two_terms():
 _R = 0.5j + 1e-4
 
 
+# two roots of very different size near the ray of the branch at t = 1,
+# 0.01i + 1e-5 and 100i + 0.1: modulus about 1e-5, where pairing each root
+# with +-1 bounds it by 3.3e-8 only
+_R0, _R1 = 0.01j + 1e-5, 100j + 0.1
+
+
 @given(one_or_two_terms(), one_or_two_terms(), st.floats(1.1, 8.0))
 @example(sy.add(Monomial(1), Const(0.5)), sy.HalfCircleExtension(Const(cmath.exp(1j))), 2.0)
+@example(PiecewiseConst((0.0, math.pi), (0.01, -0.01 * _R0 * _R1)),
+         PiecewiseConst((0.0, 1.0), (-0.01 * (_R0 + _R1), 0.0)), 2.0)
 @example(PiecewiseConst((1.0, 2.0, TWO_PI - 1.0), (-1 + 4e-4j, -1 / 3 + 1e-4j, 1.0)),
          Const(0.0), 2.0)
 @example(Const(1.0), PiecewiseConst((0.0, math.pi), (1 / _R - _R, 0.0)), 2.0)
@@ -642,6 +651,24 @@ def test_fredholm_check_certifies_what_a_dense_sweep_sees(a, b, p):
     assert check.min_modulus <= dense_min * (1 + 1e-9)
     if not tol / 10 <= dense_min <= 10 * tol:
         assert check.fredholm == (dense_min > tol)
+
+
+@given(st.floats(1.1, 8.0), st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-6.0, -1.0),
+                                               st.sampled_from([-1.0, 1.0])),
+                                     min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_flip_arc_bound_stays_below_a_dense_sweep(p, placements):
+    # two roots of sizes 1e-2 to 1e2 within 1e-6 to 1e-1 of the ray of the
+    # branch at t = 1, relative to their size: the certified bound is a lower
+    # bound of the branch's modulus, so never above a dense sampling of it.
+    # An infinite tolerance makes _flip_arc take both of its bounds.
+    ray = cmath.exp(1j * math.pi / p)
+    r0, r1 = (ray * 10 ** size * (1 + 1j * side * 10 ** offset)
+              for size, offset, side in placements)
+    gl, k = -r0 * r1, -(r0 + r1)
+    found = _flip_arc((gl, 1.0, 0.0, k), 0.0, p, math.inf)
+    nu, h = weight_functions(p, DENSE_Y)
+    assert found.bound <= np.min(np.abs(nu + gl * (1.0 - nu) + k / 2.0 * h)) * (1 + 1e-9)
 
 
 def test_fredholm_check_refuses_an_arc_out_of_reach():
@@ -774,3 +801,247 @@ def test_a_sampled_index_builds_one_curve(monkeypatch):
     builds.clear()
     assert isinstance(_th_index(pair.a, pair.b, 3.0, 1e-7, None, SAMPLED), int)
     assert builds == {"th_pc_symbol_curve": 1, "matrix_symbol_curve": 1}
+
+
+# ---------------------------------------------------------------------------
+# whole-curve assembly against per-segment assembly
+# ---------------------------------------------------------------------------
+
+
+def _reference_polyline(params, values, evaluator, max_points=400_000):
+    """One segment refined on its own: midpoints until no step subtends more
+    than 0.35 rad at the origin, for at most 48 rounds and while the segment
+    has at most ``max_points`` points."""
+    params = np.asarray(params, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    for _ in range(48):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.abs(np.angle(values[1:] / values[:-1]))
+        bad = dphi > 0.35
+        if not bad.any() or len(params) > max_points:
+            break
+        mids = 0.5 * (params[:-1][bad] + params[1:][bad])
+        mvals = evaluator(mids)
+        idx = np.nonzero(bad)[0] + 1
+        params = np.insert(params, idx, mids)
+        values = np.insert(values, idx, mvals)
+    return params, values
+
+
+def _reference_curve(sides, cont_values, arc_values, p, max_points=400_000):
+    """The closed curve assembled and refined segment by segment, with
+    ``arc_values(angle, nu, h)`` called once per arc: the reference that the
+    whole-curve assembly must match bit for bit."""
+    us0 = np.tanh(_y_axis())
+    weights0 = _base_weights(p)
+    pieces, seg_ids, params = [], [], []
+
+    def emit(par, vals):
+        pieces.append(np.asarray(vals, dtype=complex))
+        params.append(np.asarray(par, dtype=float))
+        seg_ids.append(np.full(len(vals), len(seg_ids), dtype=int))
+
+    def stretch(thetas):
+        return cont_values(np.mod(thetas, TWO_PI))
+
+    def arc_at(theta):
+        def ev(us):
+            with np.errstate(divide="ignore"):
+                return arc_values(theta, *weight_functions(p, np.arctanh(us)))
+        return ev
+
+    angles = list(sides)
+    if not angles:
+        thetas = np.concatenate([np.linspace(0.0, TWO_PI, GRID_N, endpoint=False), [TWO_PI]])
+        thetas, vals = _reference_polyline(thetas, stretch(thetas), stretch, max_points)
+        emit(thetas[:-1], vals[:-1])
+        start = vals[0]
+    else:
+        start = sides[angles[0]][1]
+        k = len(angles)
+        for j in range(k):
+            a0, following = angles[j], angles[(j + 1) % k]
+            a1 = following if following > a0 else following + TWO_PI
+            npts = max(8, int(round(GRID_N * (a1 - a0) / TWO_PI)))
+            thetas = np.linspace(a0, a1, npts + 2)[1:-1]
+            vals = np.concatenate([[sides[a0][1]], stretch(thetas), [sides[following][0]]])
+            emit(*_reference_polyline(np.concatenate([[a0], thetas, [a1]]), vals, stretch,
+                                      max_points))
+            emit(*_reference_polyline(us0, arc_values(following, *weights0), arc_at(following),
+                                      max_points))
+    values = np.concatenate(pieces + [[start]])
+    return calculus.SymbolCurve(np.concatenate(seg_ids + [[seg_ids[-1][-1]]]),
+                                np.concatenate(params + [[params[0][0]]]), values, True,
+                                float(np.min(np.abs(values))))
+
+
+def _scalar_reference_arcs(sides):
+    def arc_values(theta, nus, _):
+        lv, rv = sides[theta]
+        return lv * (1.0 - nus) + rv * nus
+    return arc_values
+
+
+def _matrix_reference_arcs(matrices):
+    def arc_values(theta, nus, _):
+        ml, mr = matrices[theta]
+        m = (1.0 - nus) * ml[..., None] + nus * mr[..., None]
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return arc_values
+
+
+def _flip_reference_arcs(table):
+    def arc_values(theta, nu, h):
+        al, ar, bl, br = table[theta]
+        sign = 1.0 if theta == 0.0 else -1.0
+        return ar * nu + al * (1.0 - nu) + sign * (br - bl) / 2.0 * h
+    return arc_values
+
+
+def _assert_same_curve(curve, ref):
+    for name in ("seg_ids", "params", "values"):
+        got, want = getattr(curve, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert curve.min_modulus == ref.min_modulus
+
+
+def _refined(curve, angles):
+    """Whether refinement inserted points into the base grid of ``angles``."""
+    return len(curve) > len(calculus._base_grid(tuple(angles)).params) + 1
+
+
+def _evaluate(sym):
+    return lambda thetas: sy.evaluate_array(sym, thetas)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "flip"])
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_whole_curve_refinement_inserts_what_each_segment_would(kind, gap):
+    jumps, stretch, _ = _curve_near_origin(kind, gap)
+    if kind == "flip":
+        # _curve_near_origin's flip curve runs along the positive axis to gap
+        # and back, without turning; with k = -2i + 2 gap it is
+        # ((t - 1)^2 - 2i gap t)/(t^2 + 1) on s = i t, which turns below the
+        # origin at distance gap
+        jumps = {0.0: (1.0, 1.0, 0.0, -2j + 2 * gap), math.pi: (1.0, 1.0, 0.0, 0.0)}
+    if kind == "matrix":
+        sides = {th: (calculus._det(l), calculus._det(r)) for th, (l, r) in jumps.items()}
+        arcs, reference = calculus._matrix_arc_values(jumps), _matrix_reference_arcs(jumps)
+    elif kind == "flip":
+        sides = {th: entry[:2] for th, entry in jumps.items()}
+        arcs, reference = calculus._flip_arc_values(jumps), _flip_reference_arcs(jumps)
+    else:
+        sides = jumps
+        arcs, reference = calculus._scalar_arc_values(jumps), _scalar_reference_arcs(jumps)
+    curve = calculus._assemble_closed_curve(
+        sides, calculus._Stretch(stretch, False, _evaluate(stretch)), arcs, 2.0)
+    ref = _reference_curve(sides, _evaluate(stretch), reference, 2.0)
+    assert _refined(ref, sides)
+    _assert_same_curve(curve, ref)
+    assert curve.min_modulus < 10 * gap
+
+
+@pytest.mark.parametrize("a, p", [
+    # test_close_origin_approach_resolved_adaptively's chords, 1e-4 from the origin
+    (PiecewiseConst((0.0, math.pi), (1.0 - 1e-4j, -1.0 - 1e-4j)), 2.0),
+    # a chord through the origin: refinement runs into the round cap
+    (PiecewiseConst((0.0, math.pi), (1.0, -1.0)), 2.0),
+    # no jumps: one stretch over the whole circle, 1e-3 from the origin at t = -1
+    (sy.add(Monomial(1), Const(1.0 - 1e-3)), 1.7),
+])
+def test_refined_toeplitz_curves_match_per_segment_refinement(a, p):
+    sides = calculus._jump_table(a)
+    ref = _reference_curve(sides, _evaluate(a), _scalar_reference_arcs(sides), p)
+    assert _refined(ref, sides)
+    _assert_same_curve(toeplitz_symbol_curve(a, p), ref)
+
+
+def test_a_curve_through_the_origin_stops_at_the_round_cap():
+    curve = toeplitz_symbol_curve(PiecewiseConst((0.0, math.pi), (1.0, -1.0)), 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.abs(np.angle(curve.values[1:] / curve.values[:-1]))
+    # after 48 rounds a step within one segment still turns by more than 0.35 rad
+    assert np.max(steps[curve.seg_ids[1:] == curve.seg_ids[:-1]]) > 0.35
+
+
+def test_the_size_cap_holds_per_segment(monkeypatch):
+    # a cap of 270 points stops each arc through the origin (259 points at
+    # first) once it is past it, while the stretches, longer from the start,
+    # have nothing to refine: the curve is the one each segment would give
+    a = PiecewiseConst((0.0, math.pi), (1.0, -1.0))
+    sides = calculus._jump_table(a)
+    uncapped = toeplitz_symbol_curve(a, 2.0)
+    monkeypatch.setattr(calculus, "REFINE_MAX_POINTS", 270)
+    curve = toeplitz_symbol_curve(a, 2.0)
+    _assert_same_curve(curve, _reference_curve(sides, _evaluate(a), _scalar_reference_arcs(sides),
+                                               2.0, max_points=270))
+    arc_sizes = np.bincount(curve.seg_ids)[1::2]
+    assert np.all(arc_sizes > 270) and np.all(arc_sizes < np.bincount(uncapped.seg_ids)[1::2])
+
+
+@st.composite
+def steps_near_the_origin(draw):
+    """A piecewise-constant symbol of 2 to 4 values, two cyclically
+    consecutive ones nearly opposite, so that their chord passes near 0."""
+    n = draw(st.integers(2, 4))
+    breaks = sorted(draw(st.lists(st.floats(0.0, TWO_PI - 0.05), min_size=n, max_size=n,
+                                  unique=True)))
+    assume(all(b - a > 0.05 for a, b in zip(breaks, breaks[1:])))
+    values = [draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+              for _ in breaks]
+    j = draw(st.integers(0, n - 1))
+    values[(j + 1) % n] = (-values[j] * draw(st.floats(0.5, 2.0))
+                           * cmath.exp(1j * draw(st.floats(-1e-3, 1e-3))))
+    return PiecewiseConst(tuple(breaks), tuple(values))
+
+
+@given(steps_near_the_origin(), st.one_of(st.just(2.0), st.floats(1.1, 8.0)))
+@settings(max_examples=40, deadline=None)
+def test_random_refined_curves_match_per_segment_refinement(a, p):
+    from th_invert.matching import build_u_matrix_general
+
+    sides = calculus._jump_table(a)
+    _assert_same_curve(toeplitz_symbol_curve(a, p),
+                       _reference_curve(sides, _evaluate(a), _scalar_reference_arcs(sides), p))
+    u = build_u_matrix_general(a, Const(0.5))
+    matrices = u.one_sided()
+    ref = _reference_curve({th: (calculus._det(l), calculus._det(r))
+                            for th, (l, r) in matrices.items()},
+                           u.determinant, _matrix_reference_arcs(matrices), p)
+    _assert_same_curve(calculus.matrix_symbol_curve(u, p), ref)
+
+
+def test_both_signs_share_the_stretch_values():
+    from th_invert.matching import make_matching_pair
+
+    # det U1 = (a g^-1)/(~a ~g^-1) and the flip curve's g do not depend on the sign of b
+    a = sy.add(Const(3.0), Monomial(1))
+    pair = make_matching_pair(a, a * Monomial(-1))
+    calculus._base_stretch.cache_clear()
+    for b in (pair.b, -pair.b):
+        assert isinstance(_th_index(pair.a, b, 3.0, 1e-7, None, SAMPLED), int)
+    info = calculus._base_stretch.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_a_base_grid_takes_one_stretch_call_and_one_arc_call():
+    # four jumps, eight segments, no refinement at p = 3
+    a = PiecewiseConst((0.0, 1.0, 2.0, 4.0), (1.0, 1j, -1.0, -1j))
+    sides = calculus._jump_table(a)
+    arcs, calls = calculus._scalar_arc_values(sides), []
+
+    def counted_arcs(ids, nu, h):
+        calls.append("arcs")
+        return arcs(ids, nu, h)
+
+    def counted_stretch(thetas):
+        calls.append("stretch")
+        return sy.evaluate_array(a, thetas)
+
+    calculus._base_stretch.cache_clear()
+    curve = calculus._assemble_closed_curve(
+        sides, calculus._Stretch(a, False, counted_stretch), counted_arcs, 3.0)
+    assert calls == ["stretch", "arcs"]
+    assert not _refined(curve, sides) and curve.seg_ids[-1] == 7
+    _assert_same_curve(curve, _reference_curve(sides, _evaluate(a),
+                                               _scalar_reference_arcs(sides), 3.0))

@@ -214,6 +214,16 @@ def test_curve_command_minimum_modulus(config_path, tmp_path):
     assert min_mod < 1e-7  # the completing arc passes through the origin
 
 
+@pytest.mark.parametrize("p", ["1.5", "2", "3"])
+def test_curve_command_output_is_pinned(config_path, tmp_path, p):
+    # segments, parameters and values of d's curve, byte for byte; at p = 2
+    # its completing arc passes through the origin and is refined there
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--config", config_path, "--symbol", "d",
+                 "--p", p, "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden(f"curve_quarter_d_p{p}.csv")
+
+
 def test_verify_command_passes(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--out", str(out), "--seed", "0"]) == 0
