@@ -1,24 +1,32 @@
 """Outputs pinned byte for byte: the reports of the worked examples and the
-route cross-checks of seeded random pairs.
+route cross-checks of seeded random pairs, and a sha256 digest of every
+sampled curve that they build.
 
 A change that means to keep every verdict and every printed number must
-leave ``data/pinned_outputs.txt`` as it is.  After a deliberate change of
-outputs, regenerate it with
+leave ``data/pinned_outputs.txt`` as it is; one that means to keep every
+curve bit for bit must leave ``data/curve_digests.txt`` as it is too.
+After a deliberate change of outputs, regenerate them with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py > tests/data/pinned_outputs.txt
+    PYTHONPATH=src python tests/test_pinned_outputs.py curves > tests/data/curve_digests.txt
 """
 
+import hashlib
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
+import pytest
 
-from th_invert import catalog
+from th_invert import calculus, catalog
 from th_invert.analyzer import classify_with_probing, cross_check
 from th_invert.sampling import random_matching_pair
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "pinned_outputs.txt")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data", "pinned_outputs.txt")
+CURVES = os.path.join(HERE, "data", "curve_digests.txt")
 
 CATALOG_PAIRS = (
     ("quarter_twist_pair(1)", lambda: catalog.quarter_twist_pair(1)),
@@ -53,10 +61,56 @@ def pinned_outputs() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_outputs_match_the_pinned_file():
+# the public curve builders; the index routes call them by these names
+BUILDERS = ("toeplitz_symbol_curve", "matrix_symbol_curve", "th_pc_symbol_curve")
+
+
+def curve_digest(curve) -> str:
+    """sha256 of a curve's seg_ids, params, values and min_modulus."""
+    digest = hashlib.sha256()
+    for x in (curve.seg_ids.astype(np.int64), curve.params, curve.values,
+              np.float64(curve.min_modulus)):
+        digest.update(np.ascontiguousarray(x).tobytes())
+    return digest.hexdigest()
+
+
+def outputs_and_curves() -> tuple[str, str]:
+    """pinned_outputs(), and one line "<builder> <digest>" per curve that the
+    public curve builders return while it runs, in order."""
+    lines = []
+    saved = {name: getattr(calculus, name) for name in BUILDERS}
+
+    def recorded(name, build):
+        def wrapped(*args, **kwargs):
+            curve = build(*args, **kwargs)
+            lines.append(f"{name} {curve_digest(curve)}")
+            return curve
+        return wrapped
+
+    try:
+        for name, build in saved.items():
+            setattr(calculus, name, recorded(name, build))
+        outputs = pinned_outputs()
+    finally:
+        for name, build in saved.items():
+            setattr(calculus, name, build)
+    return outputs, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    return outputs_and_curves()
+
+
+def test_outputs_match_the_pinned_file(outputs):
     with open(DATA, "rb") as fh:
-        assert pinned_outputs().encode() == fh.read()
+        assert outputs[0].encode() == fh.read()
+
+
+def test_curves_match_the_pinned_digests(outputs):
+    with open(CURVES, "rb") as fh:
+        assert outputs[1].encode() == fh.read()
 
 
 if __name__ == "__main__":
-    print(pinned_outputs(), end="")
+    print(outputs_and_curves()[sys.argv[1:] == ["curves"]], end="")
