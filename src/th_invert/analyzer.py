@@ -27,16 +27,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import (
+    AUTO,
     EXACT,
     SAMPLED,
     FredholmCheck,
     HardyExponent,
     IndexResult,
     _as_exponent,
-    _matrix_index,
-    _th_index,
-    _toeplitz_index,
     critical_exponents,
+    matrix_toeplitz_index,
     th_fredholm_check,
     th_index,
     toeplitz_index,
@@ -222,7 +221,9 @@ class Analysis:
     classify_with_probing or cross_check.  ``tolerances`` reach every
     curve, symbol check, section and kernel count; ``n_section`` and
     ``formula_section`` are the sizes of the kernel sections and of the
-    kernel formula's compression.
+    kernel formula's compression.  ``route`` is how the indices are read
+    (:func:`calculus.toeplitz_index`): AUTO for the reports, SAMPLED for the
+    independent witnesses that cross_check compares.  Probing reads AUTO.
     """
 
     pair: MatchingPair
@@ -230,6 +231,7 @@ class Analysis:
     tolerances: Tolerances = Tolerances()
     n_section: int = 256
     formula_section: int = 512
+    route: str = AUTO
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -252,7 +254,7 @@ class Analysis:
     def toeplitz(self, symbol: PCSymbol) -> IndexResult:
         """Fredholmness and index of T(symbol); c and d share it when equal."""
         return self._once(("toeplitz", symbol), lambda: toeplitz_index(
-            symbol, self.p, min_modulus_tol=self.tolerances.winding))
+            symbol, self.p, min_modulus_tol=self.tolerances.winding, route=self.route))
 
     @property
     def kappas(self) -> Optional[tuple[int, int]]:
@@ -265,11 +267,19 @@ class Analysis:
         return self._once(("check", sign), lambda: th_fredholm_check(
             self.pair.a, self._b(sign), self.p, min_modulus_tol=self.tolerances.winding))
 
-    def th_index(self, sign: int) -> int:
-        """Index of T(a) + sign * H(b); NotFredholm when its check fails."""
-        return self._once(("th_index", sign), lambda: th_index(
+    def th_index(self, sign: int, route: Optional[str] = None) -> Optional[int]:
+        """Index of T(a) + sign * H(b) by ``route``, the analysis's own when
+        None; NotFredholm when its check fails, None where EXACT declines."""
+        route = route or self.route
+        return self._once(("th_index", sign, route), lambda: th_index(
             self.pair.a, self._b(sign), self.p, min_modulus_tol=self.tolerances.winding,
-            check=self.check(sign)))
+            check=self.check(sign), route=route))
+
+    def matrix_index(self) -> IndexResult:
+        """Index of T(U) for the triangular matrix symbol of the pair."""
+        return self._once("matrix", lambda: matrix_toeplitz_index(
+            build_u_matrix(self.pair), self.p, min_modulus_tol=self.tolerances.winding,
+            route=self.route))
 
     def probe(self, symbol: PCSymbol) -> "ProbeResult":
         """lim_{s -> p+} ind T(symbol)."""
@@ -293,33 +303,6 @@ class Analysis:
             th_section(self.pair.a, self.pair.b, sign, self.n_section,
                        self.tolerances.quadrature),
             self.tolerances.sv_threshold))
-
-
-class _Witnesses(Analysis):
-    """The facts of an Analysis with every index read from its sampled
-    curve alone, plus the matrix route and the exact th-symbol indices:
-    the routes that cross_check compares."""
-
-    def _sampled(self, key, index, *args):
-        return self._once(key, lambda: index(*args, self.tolerances.winding, SAMPLED))
-
-    def toeplitz(self, symbol: PCSymbol) -> IndexResult:
-        return self._sampled(("toeplitz", symbol), _toeplitz_index, symbol, self.p)
-
-    def _th(self, sign: int, route: str) -> Optional[int]:
-        return self._once((route, sign), lambda: _th_index(
-            self.pair.a, self._b(sign), self.p, self.tolerances.winding, self.check(sign), route))
-
-    def th_index(self, sign: int) -> int:
-        return self._th(sign, SAMPLED)
-
-    def exact_th_index(self, sign: int) -> Optional[int]:
-        """Index of T(a) + sign * H(b) in closed form; None when it does not decide."""
-        return self._th(sign, EXACT)
-
-    def matrix_route(self) -> IndexResult:
-        """Index of T(U) for the triangular matrix symbol of the pair."""
-        return self._sampled("matrix", _matrix_index, build_u_matrix(self.pair), self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +629,14 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
     never silently dropped.  ``with_sections=False`` skips the
     classification and section kernels and compares only the index routes.
     """
-    an = _Witnesses(pair, p, n_section=n_section)
+    an = Analysis(pair, p, n_section=n_section, route=SAMPLED)
     discrepancies: list[str] = []
 
     sub_sum = None if an.kappas is None else sum(an.kappas)
     if sub_sum is None:
         discrepancies.append("subordinated route unavailable: T(c) or T(d) not Fredholm")
 
-    mres = an.matrix_route()
+    mres = an.matrix_index()
     matrix_route = mres.index if mres.fredholm else None
     if matrix_route is None:
         discrepancies.append("matrix route unavailable: determinant curve through origin")
@@ -672,7 +655,7 @@ def cross_check(pair: MatchingPair, p, n_section: int = 256,
 
     exact_route = None
     try:
-        exact = [an.exact_th_index(sign) for sign, _ in SIGNS]
+        exact = [an.th_index(sign, EXACT) for sign, _ in SIGNS]
         exact_route = None if None in exact else sum(exact)
     except NotFredholm as exc:
         if th_route is not None:

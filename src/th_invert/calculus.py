@@ -17,9 +17,11 @@ Indices are minus the winding number of the arc-completed symbol curve
 about the origin; for 2x2 matrix symbols the curve is the determinant of
 the arc-interpolated matrix.  When the curve's stretches are single
 exp-linear terms, the winding is a sum of closed-form increments with a
-certified distance from the origin (:func:`exact_index`); the sampled
-curves remain the fallback, and the independent witnesses of the index
-routes.
+certified distance from the origin (:func:`exact_index`).  Each index kind
+has one function, :func:`toeplitz_index`, :func:`matrix_toeplitz_index` and
+:func:`th_index`, whose ``route`` keyword says how it is read: AUTO takes
+the closed form where it decides and the sampled curve otherwise, EXACT the
+closed form alone, SAMPLED the curve alone, as the independent witness.
 
 Every sampled curve starts from one base grid of constant size, GRID_N
 angles by Y_GRID_N finite y samples per arc, laid out as one array of
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -219,12 +221,29 @@ REFINE_MAX_POINTS = 400_000
 @dataclass(frozen=True)
 class _Stretch:
     """The stretch symbol of a curve: ``symbol``, or symbol/~symbol when
-    ``quotient``.  ``evaluate`` takes it at angles in [0, 2 pi) and is left
-    out of equality, so that curves with one stretch share its values."""
+    ``quotient``, as det U = a/~a of a matrix symbol.  Curves with equal
+    stretches share its values."""
 
     symbol: PCSymbol
     quotient: bool
-    evaluate: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """The stretch at angles in [0, 2 pi) where neither it nor ~symbol jumps."""
+        values = evaluate_array(self.symbol, thetas)
+        if not self.quotient:
+            return values
+        return values * sy.reciprocal(evaluate_array(self.symbol, np.mod(-thetas, TWO_PI)))
+
+    def term(self) -> Optional[sy.ExpPieces]:
+        """The stretch as one exp-linear term, or None; a/~a from the term of
+        a and its reflection."""
+        term = sy.single_term(self.symbol)
+        if not self.quotient or term is None:
+            return term
+        if not np.all(np.abs(term.c) >= INVERTIBILITY_TOL):
+            return None
+        mirror = sy._reflected(term)
+        return sy._multiply((term, mirror._replace(c=1.0 / mirror.c, lam=-mirror.lam)))
 
 
 class _Grid(NamedTuple):
@@ -290,7 +309,7 @@ def _base_stretch(stretch: _Stretch, angles: tuple) -> np.ndarray:
     read-only.  det U1 = (a g^-1)/(~a ~g^-1) and the flip curve's g are the
     same for both signs of b, so both signs read them from here."""
     grid = _base_grid(angles)
-    values = stretch.evaluate(np.mod(grid.params[grid.inner], TWO_PI))
+    values = stretch.values(np.mod(grid.params[grid.inner], TWO_PI))
     values.flags.writeable = False
     return values
 
@@ -324,7 +343,7 @@ def _refine(seg_ids, params, values, seg_jump, stretch: _Stretch, arc_values, p:
         on_arc = jump >= 0
         mvals = np.empty(len(mids), dtype=complex)
         if not on_arc.all():
-            mvals[~on_arc] = stretch.evaluate(np.mod(mids[~on_arc], TWO_PI))
+            mvals[~on_arc] = stretch.values(np.mod(mids[~on_arc], TWO_PI))
         if on_arc.any():
             with np.errstate(divide="ignore"):
                 nu, h = weight_functions(p, np.arctanh(mids[on_arc]))
@@ -610,26 +629,17 @@ def _flip_arc(entry, angle: float, p: float, tol: float) -> Optional[_Arc]:
     return _Arc(gl, gr, turn, bound, nearest, ys[0])
 
 
-def _quotient_term(a: PCSymbol) -> Optional[sy.ExpPieces]:
-    """a/~a as one exp-linear term, from the term of a and its reflection."""
-    term = sy.single_term(a)
-    if term is None or not np.all(np.abs(term.c) >= INVERTIBILITY_TOL):
-        return None
-    mirror = sy._reflected(term)
-    return sy._multiply((term, mirror._replace(c=1.0 / mirror.c, lam=-mirror.lam)))
-
-
-def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
+def exact_index(jumps: dict, stretch: _Stretch, arc: Callable, p,
                 min_modulus_tol: float = WINDING_MIN_MODULUS) -> Optional[IndexResult]:
     """Fredholmness and index of a closed symbol curve in closed form, or None.
 
     The curve is the stretch symbol along the circle with an arc inserted
     at each angle of the jump table ``jumps``; ``arc(entry, angle, p, tol)``
     is the arc kind (:func:`_scalar_arc`, :func:`_matrix_arc` or
-    :func:`_flip_arc`) and builds the arc from the table entry.  ``stretch``
-    is the stretch symbol as one exp-linear term c_j e^{i lam_j theta}, None
-    when it is not one: its argument grows by Re(lam_j) times the length of
-    each piece, and its modulus is monotone there, so its minimum sits at
+    :func:`_flip_arc`) and builds the arc from the table entry.  The closed
+    form needs the stretch as one exp-linear term c_j e^{i lam_j theta}
+    (:meth:`_Stretch.term`): its argument grows by Re(lam_j) times the length
+    of each piece, and its modulus is monotone there, so its minimum sits at
     the piece ends.  A term break that is no jump adds the principal
     Arg(right/left) of the sides that :class:`symbols.TermSides` gives.
 
@@ -646,14 +656,15 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
       decides then.
     """
     pe = _as_exponent(p).p
-    if stretch is None:
+    term = stretch.term()
+    if term is None:
         return None
     arcs = {}
     for angle, entry in jumps.items():
         arcs[angle] = arc(entry, angle, pe, min_modulus_tol)
         if arcs[angle] is None:
             return None
-    rule = sy.TermSides(stretch)
+    rule = sy.TermSides(term)
     ends_min = min(abs(cj * cmath.exp(1j * lj * b)) for cj, lj, b0, b1
                    in zip(rule.c, rule.lam, rule.breaks, rule.breaks[1:]) for b in (b0, b1))
     bound = min([ends_min] + [a.bound for a in arcs.values()])
@@ -688,8 +699,8 @@ def exact_index(jumps: dict, stretch: Optional[sy.ExpPieces], arc: Callable, p,
 
 def _index(exact: Callable[[], Optional[IndexResult]], build: Callable[[], SymbolCurve],
            min_modulus_tol: float, route: str) -> Optional[IndexResult]:
-    """The index by ``route`` (AUTO, EXACT or SAMPLED) from the closed form
-    ``exact()`` and the curve ``build()``."""
+    """The index by ``route`` from the closed form ``exact()`` and the curve
+    ``build()``."""
     res = None if route == SAMPLED else exact()
     if res is None and route != EXACT:
         res = _curve_index(build(), min_modulus_tol)
@@ -709,9 +720,7 @@ def toeplitz_symbol_curve(a: PCSymbol, p) -> SymbolCurve:
     a(t-0) to a(t+0) inserted at every jump point t.
     """
     sides = _jump_table(a)
-    return _assemble_closed_curve(
-        sides, _Stretch(a, False, lambda thetas: evaluate_array(a, thetas)),
-        _scalar_arc_values(sides), p)
+    return _assemble_closed_curve(sides, _Stretch(a, False), _scalar_arc_values(sides), p)
 
 
 def _scalar_arc_values(sides: Mapping) -> Callable:
@@ -721,18 +730,14 @@ def _scalar_arc_values(sides: Mapping) -> Callable:
     return lambda ids, nu, _: _interpolate(ends[ids, 0], ends[ids, 1], nu)
 
 
-def _toeplitz_index(a: PCSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
+def toeplitz_index(a: PCSymbol, p, *, min_modulus_tol: float = WINDING_MIN_MODULUS,
+                   route: str = AUTO) -> Optional[IndexResult]:
+    """Fredholmness and index of T(a) on H^p, index = -winding of the curve:
+    by ``route`` from :func:`exact_index`, the sampled curve, or the first
+    of them that decides (AUTO); None where EXACT declines."""
     return _index(
-        lambda: exact_index(_jump_table(a), sy.single_term(a), _scalar_arc, p, min_modulus_tol),
+        lambda: exact_index(_jump_table(a), _Stretch(a, False), _scalar_arc, p, min_modulus_tol),
         lambda: toeplitz_symbol_curve(a, p), min_modulus_tol, route)
-
-
-def toeplitz_index(a: PCSymbol, p, *,
-                   min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
-    """Fredholmness and index of T(a) on H^p: index = -winding of the curve,
-    in closed form when :func:`exact_index` decides, from the sampled curve
-    otherwise."""
-    return _toeplitz_index(a, p, min_modulus_tol, AUTO)
 
 
 def critical_exponents(a: PCSymbol) -> list[float]:
@@ -776,8 +781,7 @@ def matrix_symbol_curve(u: MatrixSymbol, p) -> SymbolCurve:
     """
     matrices = u.one_sided()
     sides = {theta: (_det(ml), _det(mr)) for theta, (ml, mr) in matrices.items()}
-    return _assemble_closed_curve(sides, _Stretch(u.a, True, u.determinant),
-                                  _matrix_arc_values(matrices), p)
+    return _assemble_closed_curve(sides, _Stretch(u.a, True), _matrix_arc_values(matrices), p)
 
 
 def _matrix_arc_values(matrices: Mapping) -> Callable:
@@ -798,19 +802,14 @@ def _matrix_arc_values(matrices: Mapping) -> Callable:
     return arc_values
 
 
-def _matrix_index(u: MatrixSymbol, p, min_modulus_tol: float, route: str) -> Optional[IndexResult]:
+def matrix_toeplitz_index(u: MatrixSymbol, p, *, min_modulus_tol: float = WINDING_MIN_MODULUS,
+                          route: str = AUTO) -> Optional[IndexResult]:
+    """Index of the block Toeplitz operator T(U) on (H^p)^2: in closed form
+    on the determinant a/~a and the arcs of the one-sided matrices, or from
+    the sampled determinant curve, by ``route`` as for :func:`toeplitz_index`."""
     return _index(
-        lambda: exact_index(u.one_sided(), _quotient_term(u.a), _matrix_arc, p,
-                            min_modulus_tol),
+        lambda: exact_index(u.one_sided(), _Stretch(u.a, True), _matrix_arc, p, min_modulus_tol),
         lambda: matrix_symbol_curve(u, p), min_modulus_tol, route)
-
-
-def matrix_toeplitz_index(u: MatrixSymbol, p, *,
-                          min_modulus_tol: float = WINDING_MIN_MODULUS) -> IndexResult:
-    """Index of the block Toeplitz operator T(U) on (H^p)^2, in closed form
-    when :func:`exact_index` decides on the determinant a/~a and the arcs of
-    the one-sided matrices, from the sampled determinant curve otherwise."""
-    return _matrix_index(u, p, min_modulus_tol, AUTO)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +1007,7 @@ def th_pc_symbol_curve(g: PCSymbol, b0: PCSymbol, p) -> SymbolCurve:
         raise PreconditionViolation("g must be continuous off +-1")
     table = _flip_table(g, b0)
     return _assemble_closed_curve({theta: sides[:2] for theta, sides in table.items()},
-                                  _Stretch(g, False, lambda thetas: evaluate_array(g, thetas)),
-                                  _flip_arc_values(table), p)
+                                  _Stretch(g, False), _flip_arc_values(table), p)
 
 
 def _flip_arc_values(table: Mapping) -> Callable:
@@ -1030,36 +1028,8 @@ def _th_parts(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol, MatrixSymbo
     return g, b0, build_u_matrix_general(a * g_inv, (b - b0) * g_inv)
 
 
-def _th_index(a: PCSymbol, b: PCSymbol, p, min_modulus_tol: float,
-              check: Optional[FredholmCheck], route: str) -> Optional[int]:
-    if check is None:
-        check = th_fredholm_check(a, b, p, min_modulus_tol=min_modulus_tol)
-    if not check.fredholm:
-        raise NotFredholm(
-            f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
-            f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
-    g, b0, u1 = _th_parts(a, b)
-    pc = _index(lambda: exact_index(_flip_table(g, b0), sy.single_term(g), _flip_arc, p,
-                                    min_modulus_tol),
-                lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
-    if pc is None:
-        return None
-    if not pc.fredholm:
-        raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
-                          f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
-    # AUTO goes through the public name, which the benchmark's traced runs count
-    res_u1 = (matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol) if route == AUTO
-              else _matrix_index(u1, p, min_modulus_tol, route))
-    if res_u1 is None:
-        return None
-    ind_u1 = res_u1.require()
-    if ind_u1 % 2 != 0:
-        raise NotFredholm(f"matrix index {ind_u1} is odd; symbol data inconsistent")
-    return pc.index + ind_u1 // 2
-
-
 def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MIN_MODULUS,
-             check: Optional[FredholmCheck] = None) -> int:
+             check: Optional[FredholmCheck] = None, route: str = AUTO) -> Optional[int]:
     """Index of the Fredholm operator T(a) + H(b) on H^p.
 
     Splits b = b0 + b1 and a = g * (a*g^-1) with the interpolants of
@@ -1071,12 +1041,33 @@ def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MI
 
     where U1 is the general matrix symbol of the pair (a*g^-1, b1*g^-1),
     whose entries are continuous at +-1, and ind T(U1) comes from the
-    determinant of the arc-interpolated matrix.  Each winding is taken in
-    closed form when :func:`exact_index` decides and from the sampled curve
-    otherwise.  The shape of b0 off +-1 does not change the index, since H
+    determinant of the arc-interpolated matrix.  Each winding is taken by
+    ``route`` as for :func:`toeplitz_index`; under EXACT the index is None
+    where the closed form declines on either of them.  The shape of b0 off +-1 does not change the index, since H
     of a continuous function is compact.  The check runs before the split,
     so an a that vanishes at +-1 is refused before its logarithm is taken.
     ``check`` is the th_fredholm_check of (a, b) when the caller already
     has it.
     """
-    return _th_index(a, b, p, min_modulus_tol, check, AUTO)
+    if check is None:
+        check = th_fredholm_check(a, b, p, min_modulus_tol=min_modulus_tol)
+    if not check.fredholm:
+        raise NotFredholm(
+            f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
+            f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
+    g, b0, u1 = _th_parts(a, b)
+    pc = _index(lambda: exact_index(_flip_table(g, b0), _Stretch(g, False), _flip_arc, p,
+                                    min_modulus_tol),
+                lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
+    if pc is None:
+        return None
+    if not pc.fredholm:
+        raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
+                          f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
+    res_u1 = matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol, route=route)
+    if res_u1 is None:
+        return None
+    ind_u1 = res_u1.require()
+    if ind_u1 % 2 != 0:
+        raise NotFredholm(f"matrix index {ind_u1} is odd; symbol data inconsistent")
+    return pc.index + ind_u1 // 2

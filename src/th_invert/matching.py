@@ -21,9 +21,8 @@ import numpy as np
 from .defaults import INVERTIBILITY_TOL, JUMP_TOL, MATCHING_TOL
 from .errors import NotInvertible
 from . import symbols as sym
-from .symbols import (TWO_PI, CirclePoint, PCSymbol, check_invertible,
-                      evaluate_array, evaluate_both_sides, evaluate_sides, grid_angles,
-                      reciprocal)
+from .symbols import (CirclePoint, PCSymbol, check_invertible, evaluate_both_sides,
+                      evaluate_sides, grid_angles, reciprocal)
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,6 @@ class MatrixSymbol:
         """U(t+0) for side "right", U(t-0) for "left"."""
         angle = t.angle if isinstance(t, CirclePoint) else CirclePoint(t).angle
         return self._sides(angle)[sym.side_index(side)]
-
-    def determinant(self, thetas: np.ndarray) -> np.ndarray:
-        """det U = a/~a at angles where neither a nor ~a jumps."""
-        return evaluate_array(self.a, thetas) * reciprocal(
-            evaluate_array(self.a, np.mod(-thetas, TWO_PI)))
 
     def jump_angles(self) -> list[float]:
         """The angles where some entry of U jumps, sorted."""

@@ -17,7 +17,7 @@ from th_invert.analyzer import (
     probe_limit_index,
     verified_kernel_witnesses,
 )
-from th_invert.calculus import toeplitz_index
+from th_invert.calculus import EXACT, toeplitz_index
 from th_invert.catalog import quarter_twist, quarter_twist_pair
 from th_invert.errors import (InconsistentRecord, NoFredholmNeighborhood, NotFredholmAtP,
                               THInvertError)
@@ -383,7 +383,12 @@ def test_cross_check_reads_each_matrix_symbol_once(monkeypatch, quarter_pair):
 
 
 def test_cross_check_itemizes_a_disagreeing_exact_route(monkeypatch, quarter_pair):
-    monkeypatch.setattr(analyzer._Witnesses, "exact_th_index", lambda self, sign: 0)
+    index = analyzer.th_index
+
+    def exact_zero(*args, route, **kwargs):
+        return 0 if route == EXACT else index(*args, route=route, **kwargs)
+
+    monkeypatch.setattr(analyzer, "th_index", exact_zero)
     cc = cross_check(quarter_pair, 3.0, with_sections=False)
     assert cc.subordinated_sum == cc.matrix_route == cc.th_route == -1
     assert cc.exact_route == 0

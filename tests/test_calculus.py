@@ -14,10 +14,7 @@ from th_invert.calculus import (
     _base_weights,
     _flip_arc,
     _matrix_arc,
-    _matrix_index,
     _scalar_arc,
-    _th_index,
-    _toeplitz_index,
     _y_axis,
     arc,
     critical_exponents,
@@ -302,9 +299,9 @@ def test_critical_exponents_match_the_winding(sym):
 
     def index(s):
         # the closed form decides, and the sampled curve agrees with it
-        res = _toeplitz_index(sym, s, 1e-7, EXACT)
+        res = toeplitz_index(sym, s, min_modulus_tol=1e-7, route=EXACT)
         assert res is not None and res.fredholm, s
-        assert res.index == _toeplitz_index(sym, s, 1e-7, SAMPLED).index, s
+        assert res.index == toeplitz_index(sym, s, min_modulus_tol=1e-7, route=SAMPLED).index, s
         return res.index
 
     for a, b in zip(edges, edges[1:]):  # constant between critical exponents
@@ -313,8 +310,8 @@ def test_critical_exponents_match_the_winding(sym):
         shared = sum(1 for x in crit if abs(x - s) <= 1e-9 * s)
         assert index(s * (1 - 1e-3)) - index(s * (1 + 1e-3)) == shared
         for near in (s * (1 - 1e-12), s * (1 + 1e-12)):  # both routes see the degeneracy
-            assert not _toeplitz_index(sym, near, 1e-7, EXACT).fredholm
-            assert not _toeplitz_index(sym, near, 1e-7, SAMPLED).fredholm
+            assert not toeplitz_index(sym, near, min_modulus_tol=1e-7, route=EXACT).fredholm
+            assert not toeplitz_index(sym, near, min_modulus_tol=1e-7, route=SAMPLED).fredholm
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ def test_a_jump_next_to_zero_keeps_its_arc(brk):
     # the curve closes the jump at brk with its p-arc: index -1 at p = 7
     a = PiecewiseConst((brk, 1.0), (1.0, cmath.exp(1j)))
     for route in (AUTO, EXACT, SAMPLED):
-        res = _toeplitz_index(a, 7.0, 1e-7, route)
+        res = toeplitz_index(a, 7.0, min_modulus_tol=1e-7, route=route)
         assert res is None or (res.fredholm, res.index) in ((True, -1), (False, None))
     assert toeplitz_index(a, 7.0).index == -1
 
@@ -526,7 +523,7 @@ def test_a_power_arc_anchored_next_to_one_is_refused_or_indexed():
     for b in (Const(1.0), Const(-1.0)):
         for route in (AUTO, EXACT, SAMPLED):
             try:
-                res = _th_index(a, b, 2.0, 1e-7, None, route)
+                res = th_index(a, b, 2.0, min_modulus_tol=1e-7, route=route)
             except NotFredholm:
                 continue
             assert res is None or isinstance(res, int)
@@ -706,8 +703,8 @@ def _curve_agrees(exact, curve):
 def test_exact_toeplitz_index_matches_the_curve(f, g, p):
     a = sy.product(f, g)  # one exp-linear term
     assume(all(abs(s - p) > 0.02 * p for s in critical_exponents(a)))
-    exact = _toeplitz_index(a, p, 1e-7, EXACT)
-    _curve_agrees(exact, _toeplitz_index(a, p, 1e-7, SAMPLED))
+    exact = toeplitz_index(a, p, min_modulus_tol=1e-7, route=EXACT)
+    _curve_agrees(exact, toeplitz_index(a, p, min_modulus_tol=1e-7, route=SAMPLED))
 
 
 @given(exp_linear_leaves(), exp_linear_leaves(), st.floats(1.1, 8.0))
@@ -717,8 +714,8 @@ def test_exact_matrix_index_matches_the_curve(a, b, p):
     from th_invert.matching import build_u_matrix_general
 
     u = build_u_matrix_general(a, b)
-    exact = _matrix_index(u, p, 1e-7, EXACT)
-    curve = _matrix_index(u, p, 1e-7, SAMPLED)
+    exact = matrix_toeplitz_index(u, p, min_modulus_tol=1e-7, route=EXACT)
+    curve = matrix_toeplitz_index(u, p, min_modulus_tol=1e-7, route=SAMPLED)
     assume(curve.min_modulus > 1e-3)  # away from the exponents where an arc degenerates
     _curve_agrees(exact, curve)
 
@@ -733,7 +730,7 @@ def test_exact_th_index_matches_the_curves(a, b, p):
 
     def index(route):
         try:
-            return _th_index(a, b, p, 1e-7, check, route)
+            return th_index(a, b, p, min_modulus_tol=1e-7, check=check, route=route)
         except NotFredholm:
             return "not Fredholm"
 
@@ -762,7 +759,7 @@ def test_exact_index_decides_only_outside_the_grey_band(kind):
     # most 1e-9 from the origin it says not Fredholm, in between the curve decides
     def exact(gap):
         jumps, stretch, arc_kind = _curve_near_origin(kind, gap)
-        return exact_index(jumps, sy._exp_pieces(stretch), arc_kind, 2.0, 1e-7)
+        return exact_index(jumps, calculus._Stretch(stretch, False), arc_kind, 2.0, 1e-7)
 
     res = exact(1e-5)
     assert res.fredholm and res.index == 0 and 1e-7 < res.min_modulus <= 1e-5 * (1 + 1e-6)
@@ -775,7 +772,7 @@ def test_exact_index_decides_only_outside_the_grey_band(kind):
 
 def test_grey_band_toeplitz_index_falls_back_to_the_curve():
     a = PiecewiseConst((0.0, math.pi), (1.0, -2.0 + 9e-8j))
-    assert _toeplitz_index(a, 2.0, 1e-7, EXACT) is None
+    assert toeplitz_index(a, 2.0, min_modulus_tol=1e-7, route=EXACT) is None
     res = toeplitz_index(a, 2.0)
     assert not res.fredholm and res.min_modulus <= 1e-7
 
@@ -799,7 +796,7 @@ def test_a_sampled_index_builds_one_curve(monkeypatch):
     assert matrix_toeplitz_index(build_u_matrix(pair), 3.0).fredholm
     assert builds == {"matrix_symbol_curve": 1}
     builds.clear()
-    assert isinstance(_th_index(pair.a, pair.b, 3.0, 1e-7, None, SAMPLED), int)
+    assert isinstance(th_index(pair.a, pair.b, 3.0, min_modulus_tol=1e-7, route=SAMPLED), int)
     assert builds == {"th_pc_symbol_curve": 1, "matrix_symbol_curve": 1}
 
 
@@ -934,7 +931,7 @@ def test_whole_curve_refinement_inserts_what_each_segment_would(kind, gap):
         sides = jumps
         arcs, reference = calculus._scalar_arc_values(jumps), _scalar_reference_arcs(jumps)
     curve = calculus._assemble_closed_curve(
-        sides, calculus._Stretch(stretch, False, _evaluate(stretch)), arcs, 2.0)
+        sides, calculus._Stretch(stretch, False), arcs, 2.0)
     ref = _reference_curve(sides, _evaluate(stretch), reference, 2.0)
     assert _refined(ref, sides)
     _assert_same_curve(curve, ref)
@@ -1007,7 +1004,8 @@ def test_random_refined_curves_match_per_segment_refinement(a, p):
     matrices = u.one_sided()
     ref = _reference_curve({th: (calculus._det(l), calculus._det(r))
                             for th, (l, r) in matrices.items()},
-                           u.determinant, _matrix_reference_arcs(matrices), p)
+                           calculus._Stretch(u.a, True).values,
+                           _matrix_reference_arcs(matrices), p)
     _assert_same_curve(calculus.matrix_symbol_curve(u, p), ref)
 
 
@@ -1019,12 +1017,12 @@ def test_both_signs_share_the_stretch_values():
     pair = make_matching_pair(a, a * Monomial(-1))
     calculus._base_stretch.cache_clear()
     for b in (pair.b, -pair.b):
-        assert isinstance(_th_index(pair.a, b, 3.0, 1e-7, None, SAMPLED), int)
+        assert isinstance(th_index(pair.a, b, 3.0, min_modulus_tol=1e-7, route=SAMPLED), int)
     info = calculus._base_stretch.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 
-def test_a_base_grid_takes_one_stretch_call_and_one_arc_call():
+def test_a_base_grid_takes_one_stretch_call_and_one_arc_call(monkeypatch):
     # four jumps, eight segments, no refinement at p = 3
     a = PiecewiseConst((0.0, 1.0, 2.0, 4.0), (1.0, 1j, -1.0, -1j))
     sides = calculus._jump_table(a)
@@ -1034,13 +1032,13 @@ def test_a_base_grid_takes_one_stretch_call_and_one_arc_call():
         calls.append("arcs")
         return arcs(ids, nu, h)
 
-    def counted_stretch(thetas):
+    def counted_stretch(sym, thetas):
         calls.append("stretch")
-        return sy.evaluate_array(a, thetas)
+        return sy.evaluate_array(sym, thetas)
 
     calculus._base_stretch.cache_clear()
-    curve = calculus._assemble_closed_curve(
-        sides, calculus._Stretch(a, False, counted_stretch), counted_arcs, 3.0)
+    monkeypatch.setattr(calculus, "evaluate_array", counted_stretch)
+    curve = calculus._assemble_closed_curve(sides, calculus._Stretch(a, False), counted_arcs, 3.0)
     assert calls == ["stretch", "arcs"]
     assert not _refined(curve, sides) and curve.seg_ids[-1] == 7
     _assert_same_curve(curve, _reference_curve(sides, _evaluate(a),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from th_invert import symbols as sy
+from th_invert.calculus import _Stretch
 from th_invert.errors import NotInvertible, PreconditionViolation
 from th_invert.matching import (
     MatchRejection,
@@ -194,7 +195,7 @@ def test_matrix_values_match_the_entry_trees(u, seed):
         for side in (LEFT, RIGHT):
             assert close(u.evaluate_matrix(theta, side), entries(CirclePoint(theta), side))
     e = [[sy.evaluate_array(trees[i][j], thetas) for j in range(2)] for i in range(2)]
-    assert close(u.determinant(thetas), e[0][0] * e[1][1] - e[0][1] * e[1][0])
+    assert close(_Stretch(u.a, True).values(thetas), e[0][0] * e[1][1] - e[0][1] * e[1][0])
 
 
 # ---------------------------------------------------------------------------
