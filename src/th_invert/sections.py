@@ -29,21 +29,16 @@ from .symbols import Monomial, PCSymbol, coefficient_range, laurent_coefficients
 
 @dataclass(frozen=True)
 class FiniteSectionMatrix:
-    """Dense complex truncation with a basis tag.
-
-    basis "analytic": e_k = t^k, k = 0..n-1.
-    basis "laurent":  t^-N .. t^(N-1) for n = 2N.
-    """
+    """Dense complex truncation in the analytic basis e_k = t^k, k = 0..n-1."""
 
     entries: np.ndarray = field(repr=False)
-    basis: str = "analytic"
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
 
     def adjoint(self) -> "FiniteSectionMatrix":
-        return FiniteSectionMatrix(self.entries.conj().T, self.basis)
+        return FiniteSectionMatrix(self.entries.conj().T)
 
 
 def matrix_to_csv(m: FiniteSectionMatrix | np.ndarray) -> str:
@@ -254,12 +249,11 @@ class NumericalKernel:
 
 
 def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
-                     sv_threshold: float = SV_THRESHOLD,
-                     gap_factor: float = SPECTRAL_GAP) -> NumericalKernel:
+                     sv_threshold: float = SV_THRESHOLD) -> NumericalKernel:
     """SVD-based kernel with a mandatory spectral gap.
 
     A dimension is only reported when the smallest kept singular value
-    exceeds the largest dropped one by ``gap_factor``; otherwise the run
+    exceeds the largest dropped one by SPECTRAL_GAP; otherwise the run
     is inconclusive and NoSpectralGap is raised.  Null vectors whose mass
     concentrates at the top edge of the window track the truncation cut
     rather than any fixed H^p function (the shift section T_n(t) kills
@@ -294,10 +288,10 @@ def numerical_kernel(m: FiniteSectionMatrix | np.ndarray,
     largest_dropped = float(s[dropped].max()) if n_dropped else None
     smallest_kept = float(s[~dropped].min()) if n_dropped < len(s) else None
     if n_dropped and smallest_kept is not None:
-        if largest_dropped > 0 and smallest_kept / largest_dropped < gap_factor:
+        if largest_dropped > 0 and smallest_kept / largest_dropped < SPECTRAL_GAP:
             raise NoSpectralGap(
                 f"kept/dropped ratio {smallest_kept / largest_dropped:.1f} "
-                f"below required {gap_factor:.0f}")
+                f"below required {SPECTRAL_GAP:.0f}")
         if smallest_kept < sv_threshold:
             raise NoSpectralGap("smallest kept singular value below the threshold")
     vectors = []

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, zeta
 
-from .calculus import HardyExponent, toeplitz_index
-from .errors import NotFredholm, PreconditionViolation, SeriesDiverges
+from .calculus import toeplitz_index
+from .errors import PreconditionViolation, SeriesDiverges
 from . import symbols as sy
 from .symbols import CirclePoint, Monomial, PCSymbol, POINT_ONE, power_arc
 
@@ -81,19 +81,13 @@ def invertibility_window(beta: float) -> tuple[float, float]:
     """Exponent interval on which T(phi_beta) is invertible, for real beta in (0, 1).
 
     The completing arc joins exp(i*pi*beta) to exp(-i*pi*beta); it sweeps
-    through the origin exactly when 1/p = beta, and the index vanishes on
-    the small-p side of that critical exponent.
+    through the origin exactly when 1/p = beta (Gohberg-Krupnik, as in
+    :func:`calculus.critical_exponents`), and the index vanishes on the
+    small-p side of that critical exponent.
     """
     if not (0.0 < beta < 1.0):
         raise PreconditionViolation("window computed for real beta in (0, 1) only")
-    p_crit = 1.0 / beta
-    if p_crit <= 1.0:
-        raise PreconditionViolation("no invertibility window: critical exponent at or below 1")
-    probe = 1.0 + 0.5 * min(1.0, p_crit - 1.0)
-    res = toeplitz_index(power_function(beta), HardyExponent(probe))
-    if not res.fredholm or res.index != 0:
-        raise NotFredholm(f"T(phi_{beta}) unexpectedly not invertible at p={probe}")
-    return (1.0, p_crit)
+    return (1.0, 1.0 / beta)
 
 
 def binomial_streams(beta: complex, n_terms: int) -> PowerFactorization:
