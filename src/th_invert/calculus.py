@@ -699,8 +699,8 @@ def exact_index(jumps: dict, stretch: _Stretch, arc: Callable, p,
 
 def _index(exact: Callable[[], Optional[IndexResult]], build: Callable[[], SymbolCurve],
            min_modulus_tol: float, route: str) -> Optional[IndexResult]:
-    """The index by ``route`` from the closed form ``exact()`` and the curve
-    ``build()``."""
+    """The index by ``route`` (AUTO, EXACT or SAMPLED) from the closed form
+    ``exact()`` and the curve ``build()``."""
     res = None if route == SAMPLED else exact()
     if res is None and route != EXACT:
         res = _curve_index(build(), min_modulus_tol)
@@ -1043,8 +1043,9 @@ def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MI
     whose entries are continuous at +-1, and ind T(U1) comes from the
     determinant of the arc-interpolated matrix.  Each winding is taken by
     ``route`` as for :func:`toeplitz_index`; under EXACT the index is None
-    where the closed form declines on either of them.  The shape of b0 off +-1 does not change the index, since H
-    of a continuous function is compact.  The check runs before the split,
+    where the closed form declines on either of them.  The shape of b0 off
+    +-1 does not change the index, since H of a continuous function is
+    compact.  The check runs before the split,
     so an a that vanishes at +-1 is refused before its logarithm is taken.
     ``check`` is the th_fredholm_check of (a, b) when the caller already
     has it.
