@@ -22,6 +22,7 @@ rules read about one (pair, p) is computed once, by an :class:`Analysis`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,9 +55,8 @@ from .matching import MatchingPair, build_u_matrix
 from .sections import (
     KernelFormulaResult,
     apply_operator,
-    kernel_dimension,
     kernel_formula_eval,
-    th_section,
+    section_kernel_counter,
 )
 from . import symbols as sy
 from .symbols import Monomial, PCSymbol
@@ -237,16 +237,22 @@ class Analysis:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_exponent(self.p))
 
-    def _once(self, key, compute: Callable):
-        if key not in self._facts:
-            try:
-                self._facts[key] = (compute(), None)
-            except THInvertError as exc:
-                self._facts[key] = (None, exc)
+    def _keep(self, key, compute: Callable) -> None:
+        try:
+            self._facts[key] = (compute(), None)
+        except THInvertError as exc:
+            self._facts[key] = (None, exc)
+
+    def _recall(self, key):
         value, exc = self._facts[key]
         if exc is not None:
             raise exc
         return value
+
+    def _once(self, key, compute: Callable):
+        if key not in self._facts:
+            self._keep(key, compute)
+        return self._recall(key)
 
     def _b(self, sign: int) -> PCSymbol:
         return self.pair.b if sign == 1 else -self.pair.b
@@ -298,11 +304,17 @@ class Analysis:
             self.pair.a, self.pair.b))
 
     def section_kernel(self, sign: int) -> int:
-        """Kernel dimension of the n_section section of T(a) + sign * H(b)."""
-        return self._once(("section", sign), lambda: kernel_dimension(
-            th_section(self.pair.a, self.pair.b, sign, self.n_section,
-                       self.tolerances.quadrature),
-            self.tolerances.sv_threshold))
+        """Kernel dimension of the n_section section of T(a) + sign * H(b).
+        The first call counts both signs in one workspace
+        (:func:`sections.section_kernel_counter`); each sign keeps its own
+        count or refusal."""
+        if ("section", sign) not in self._facts:
+            count = section_kernel_counter(self.pair.a, self.pair.b, self.n_section,
+                                           self.tolerances.quadrature,
+                                           self.tolerances.sv_threshold)
+            for s in (1, -1):
+                self._keep(("section", s), partial(count, s))
+        return self._recall(("section", sign))
 
 
 # ---------------------------------------------------------------------------

@@ -880,6 +880,24 @@ class FredholmCheck:
     witness: tuple[float, float]
 
 
+@lru_cache(maxsize=2)
+def _smooth_minimum(a: PCSymbol, special: tuple) -> Optional[tuple]:
+    """(modulus, (angle, 0.0)) of the smallest |a(t) a(conj t)| at the interior
+    angles of the GRID_N-point grid off the ``special`` angles; None when
+    none is left.  No jump lies at t nor conj(t) there, so the determinant
+    does not depend on y, nor on b: both signs of b share it."""
+    thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
+    mask = np.ones(len(thetas), dtype=bool)
+    for th in special:
+        mask &= np.abs(thetas - th) > 1e-12
+    smooth = thetas[mask]
+    dets = np.abs(evaluate_array(a, smooth) * evaluate_array(a, TWO_PI - smooth))
+    if not len(dets):
+        return None
+    i = int(np.argmin(dets))
+    return float(dets[i]), (float(smooth[i]), 0.0)
+
+
 def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
                       min_modulus_tol: float = WINDING_MIN_MODULUS) -> FredholmCheck:
     """Invertibility of the T(a)+H(b) symbol over the closed upper half-circle.
@@ -905,18 +923,9 @@ def th_fredholm_check(a: PCSymbol, b: PCSymbol, p, *,
     candidates = []  # (modulus, (angle, y)); the first smallest is reported
     undecided = []  # angles of the arcs that certify nothing
 
-    # smooth part: no jump at t nor conj(t); determinant is y-independent
-    thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
-    mask = np.ones(len(thetas), dtype=bool)
-    for th in special:
-        mask &= np.abs(thetas - th) > 1e-12
-    smooth = thetas[mask]
-    a_up = evaluate_array(a, smooth)
-    a_dn = evaluate_array(a, TWO_PI - smooth)
-    dets = np.abs(a_up * a_dn)
-    if len(dets):
-        i = int(np.argmin(dets))
-        candidates.append((float(dets[i]), (float(smooth[i]), 0.0)))
+    smooth = _smooth_minimum(a, tuple(special))
+    if smooth is not None:
+        candidates.append(smooth)
 
     # det = (al + nu (ar - al))(alc + nu (arc - alc)) + k nu (nu - 1), k = (br - bl)(blc - brc);
     # a bound is lowered to the modulus nearest a root where round-off puts that below it

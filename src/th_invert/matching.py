@@ -14,7 +14,7 @@ constant i); the reports record its constant value when it is one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -67,11 +67,13 @@ class MatrixSymbol:
             0.0, a * reciprocal(b))
         return np.array([[top_left, -(b * ta_inv)], [corner, ta_inv]], dtype=complex)
 
-    def _sides(self, angle: float) -> tuple[np.ndarray, np.ndarray]:
-        """(U(t-0), U(t+0)) from the one-sided values of a and b; ~f(t-0) = f(1/t+0)."""
-        (al, ar), (bl, br) = evaluate_sides(self.a, angle), evaluate_sides(self.b, angle)
+    def _sides(self, angle: float, read: Callable = evaluate_sides
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(U(t-0), U(t+0)) from the one-sided values of a and b, each pair
+        given by ``read(symbol, angle)``; ~f(t-0) = f(1/t+0)."""
+        (al, ar), (bl, br) = read(self.a, angle), read(self.b, angle)
         mirror = CirclePoint(-angle).angle
-        (tar, tal), (tbr, tbl) = evaluate_sides(self.a, mirror), evaluate_sides(self.b, mirror)
+        (tar, tal), (tbr, tbl) = read(self.a, mirror), read(self.b, mirror)
         return self._matrix(al, bl, tal, tbl), self._matrix(ar, br, tar, tbr)
 
     def evaluate_matrix(self, t, side) -> np.ndarray:
@@ -93,11 +95,23 @@ class MatrixSymbol:
 
     def _one_sided_matrices(self) -> dict:
         """The one-sided matrices at every break of a and b and its reflection,
-        kept where an entry jumps: an entry can jump more than a or b does."""
-        angles = {x for f in (self.a, self.b) for x, _, _ in sym._one_sided_at_breaks(f)}
+        kept where an entry jumps: an entry can jump more than a or b does.
+        Each (symbol, angle) is read once, and the angle and its reflection
+        share the reads: from the symbol's own break table at one of its
+        break angles, by evaluate_sides (the same values) elsewhere."""
+        breaks = {f: {x: (left, right) for x, left, right in sym._one_sided_at_breaks(f)}
+                  for f in (self.a, self.b)}
+        angles = {x for at_breaks in breaks.values() for x in at_breaks}
+        reads = {}
+
+        def read(f: PCSymbol, angle: float) -> tuple[complex, complex]:
+            if (f, angle) not in reads:
+                reads[f, angle] = breaks[f].get(angle) or evaluate_sides(f, angle)
+            return reads[f, angle]
+
         table = {}
         for angle in sym.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles}):
-            left, right = self._sides(angle)
+            left, right = self._sides(angle, read)
             if np.max(np.abs(left - right)) > JUMP_TOL:
                 table[angle] = (left, right)
         return table

@@ -12,11 +12,12 @@ not only asymptotically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import (LinAlgError, hankel as _hankel_la, lu_solve, solve_toeplitz,
-                          toeplitz as _toeplitz_la)
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import LinAlgError, lu_solve, solve_toeplitz
 from scipy.linalg.blas import zherk as _zherk
 from scipy.linalg.lapack import zgetrf as _zgetrf, zpotrf as _zpotrf
 
@@ -70,32 +71,76 @@ def _section_times(coeffs: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
     return np.convolve(coeffs, x)[m - 1: m - 1 + n_out]
 
 
-def toeplitz_matrix(a: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
-    """n x n section with entries a_{j-k}; ``tol`` bounds quadrature coefficients."""
+def _toeplitz_view(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x n view with entries a_{j-k} of the coefficients
+    a_{-(n-1)} .. a_{n-1}: row j starts at a_j and steps back.  Nothing is
+    copied."""
+    coeffs = np.ascontiguousarray(coeffs)
+    step = coeffs.strides[0]
+    return as_strided(coeffs[n - 1:], (n, n), (step, -step), writeable=False)
+
+
+def _hankel_view(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x n view with entries b_{j+k+1} of the coefficients
+    b_1 .. b_{2n-1}.  Nothing is copied."""
+    coeffs = np.ascontiguousarray(coeffs)
+    step = coeffs.strides[0]
+    return as_strided(coeffs, (n, n), (step, step), writeable=False)
+
+
+def _check_size(n: int) -> None:
     if n < 1:
         raise PreconditionViolation("section size must be >= 1")
-    return FiniteSectionMatrix(_toeplitz_la(*_column_and_row(
-        coefficient_range(a, -(n - 1), n - 1, tol=tol))))
+
+
+def toeplitz_matrix(a: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
+    """n x n section with entries a_{j-k}; ``tol`` bounds quadrature coefficients."""
+    _check_size(n)
+    return FiniteSectionMatrix(
+        _toeplitz_view(coefficient_range(a, -(n - 1), n - 1, tol=tol), n).copy())
 
 
 def hankel_matrix(b: PCSymbol, n: int, tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
     """n x n section with entries b_{j+k+1}; ``tol`` bounds quadrature coefficients."""
-    if n < 1:
-        raise PreconditionViolation("section size must be >= 1")
-    coeffs = coefficient_range(b, 1, 2 * n - 1, tol=tol)
-    return FiniteSectionMatrix(_hankel_la(coeffs[:n], coeffs[n - 1:]))
+    _check_size(n)
+    return FiniteSectionMatrix(_hankel_view(coefficient_range(b, 1, 2 * n - 1, tol=tol), n).copy())
 
 
-def th_section(a: PCSymbol, b: PCSymbol, sign: int, n: int,
-               tol: float = QUADRATURE_TOL) -> FiniteSectionMatrix:
-    """Section of T(a) + sign * H(b), summed in place."""
-    entries = toeplitz_matrix(a, n, tol).entries
-    hankel = hankel_matrix(b, n, tol).entries
-    if sign > 0:
-        entries += hankel
-    else:
-        entries -= hankel
-    return FiniteSectionMatrix(entries)
+@lru_cache(maxsize=1)
+def _section_views(a: PCSymbol, b: PCSymbol, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T_n(a), H_n(b)) as read-only views of one coefficient read each; the
+    sections of both signs of one pair share them."""
+    _check_size(n)
+    return (_toeplitz_view(coefficient_range(a, -(n - 1), n - 1, tol=tol), n),
+            _hankel_view(coefficient_range(b, 1, 2 * n - 1, tol=tol), n))
+
+
+def th_section(a: PCSymbol, b: PCSymbol, sign: int, n: int, tol: float = QUADRATURE_TOL,
+               out: Optional[np.ndarray] = None) -> FiniteSectionMatrix:
+    """Section of T(a) + sign * H(b): the sum of the two views, written into
+    ``out`` (an n x n complex array) when given, else into a new array."""
+    toeplitz, hankel = _section_views(a, b, n, tol)
+    return FiniteSectionMatrix((np.add if sign > 0 else np.subtract)(toeplitz, hankel, out=out))
+
+
+def section_kernel_counter(a: PCSymbol, b: PCSymbol, n: int, tol: float = QUADRATURE_TOL,
+                           sv_threshold: float = SV_THRESHOLD) -> Callable[[int], int]:
+    """The function sign -> kernel_dimension(th_section(a, b, sign, n, tol),
+    sv_threshold), for both signs of one pair.
+
+    Every call works in one workspace of two n x n halves: the first holds
+    the section, the second, transposed so that it is F-ordered, the Gram
+    matrix of the certificate.  Fresh 1 MB arrays (n = 256) for each call
+    are mapped by the allocator and faulted in page by page; the one
+    reused block of 2 n^2 entries is not.
+    """
+    work = np.empty((2, n, n), dtype=complex)
+
+    def count(sign: int) -> int:
+        section = th_section(a, b, sign, n, tol, out=work[0])
+        return _kernel_dimension(_entries(section), sv_threshold, work[1].T)
+
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +372,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _GRAM_SLACK = 16  # covers the complex rounding of the Gram product and of Cholesky
 
 
-def _certified_full_rank(entries: np.ndarray, floor: float) -> bool:
+def _certified_full_rank(entries: np.ndarray, floor: float,
+                         gram: Optional[np.ndarray] = None) -> bool:
     """True only when sigma_min(A) >= floor, for A square, by one Cholesky.
 
     G = conj(A^H A) is formed by zherk and shift = floor^2 + 16 (n + 2) u
@@ -341,12 +387,15 @@ def _certified_full_rank(entries: np.ndarray, floor: float) -> bool:
     ||E_chol|| >= floor^2: about 3 (n + 2) u ||A||_F^2 of the slack covers
     the two errors and the rounding of the shift.  So a completed
     factorization certifies the bound; a failed one certifies nothing.
+    G is formed and factored in ``gram``, an F-ordered n x n complex
+    array, when given.
     """
     n = entries.shape[0]
     if entries.shape != (n, n) or not n:
         return False
     a = np.asarray(entries, dtype=complex)
-    gram = _zherk(1.0, a.T)  # a.T is the F-ordered view of A^T: upper triangle of conj(A^H A)
+    # a.T is the F-ordered view of A^T: upper triangle of conj(A^H A)
+    gram = _zherk(1.0, a.T, c=gram, overwrite_c=gram is not None)
     shift = floor * floor + _GRAM_SLACK * (n + 2) * _UNIT_ROUNDOFF * gram.diagonal().real.sum()
     gram[np.diag_indices(n)] -= shift
     return _zpotrf(gram, lower=0, clean=0, overwrite_a=1)[1] == 0
@@ -421,8 +470,14 @@ def kernel_dimension(m: FiniteSectionMatrix | np.ndarray,
        leaves no doubt (``_one_dropped_dimension``);
     4. otherwise ``numerical_kernel`` itself, the only stage that refuses.
     """
-    entries = _entries(m)
-    if _certified_full_rank(entries, 2 * sv_threshold):
+    return _kernel_dimension(_entries(m), sv_threshold)
+
+
+def _kernel_dimension(entries: np.ndarray, sv_threshold: float,
+                      gram: Optional[np.ndarray] = None) -> int:
+    """:func:`kernel_dimension` of finite ``entries``, with the Gram matrix of
+    stage 1 formed in ``gram`` when given."""
+    if _certified_full_rank(entries, 2 * sv_threshold, gram):
         return 0
     s = np.linalg.svd(entries, compute_uv=False)
     if _nothing_dropped(s, entries.shape[1], sv_threshold):
@@ -465,9 +520,8 @@ def _solve_section(coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     minor is singular, the dense section is solved by LU.
     """
     n = rhs.shape[0]
-    col, row = _column_and_row(coeffs)
     try:
-        x = solve_toeplitz((col, row), rhs)
+        x = solve_toeplitz(_column_and_row(coeffs), rhs)
     except LinAlgError:
         x = None
     if x is not None:
@@ -475,7 +529,7 @@ def _solve_section(coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         scale = np.abs(coeffs).sum() * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
         if np.all(residual <= n * np.finfo(float).eps * scale):
             return x
-    return np.linalg.solve(_toeplitz_la(col, row), rhs)
+    return np.linalg.solve(_toeplitz_view(coeffs, n), rhs)
 
 
 def _compression(u0: PCSymbol, v0: PCSymbol, w: PCSymbol, kappa1: int, size: int,

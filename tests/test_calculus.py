@@ -585,6 +585,24 @@ def test_fredholm_check_finds_a_zero_between_samples():
     assert check.min_modulus <= 1e-7
 
 
+def test_fredholm_checks_of_both_signs_share_the_smooth_part():
+    a = sy.product(PowerArc(0.3 + 0.2j, CirclePoint(1.0)), Monomial(1))
+    b = PiecewiseConst((0.5, 4.0), (1.0, 2j))
+    calculus._smooth_minimum.cache_clear()
+    checks = [th_fredholm_check(a, sign * b, p) for p in (1.5, 3.0) for sign in (1, -1)]
+    info = calculus._smooth_minimum.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # the smooth part, sampled as before it was shared
+    special = [0.5, 1.0, TWO_PI - 4.0]
+    thetas = np.linspace(0.0, math.pi, GRID_N // 2)[1:-1]
+    smooth = thetas[np.all(np.abs(thetas[:, None] - np.array(special)) > 1e-12, axis=1)]
+    dets = np.abs(sy.evaluate_array(a, smooth) * sy.evaluate_array(a, TWO_PI - smooth))
+    i = int(np.argmin(dets))
+    assert calculus._smooth_minimum(a, tuple(special)) == (dets[i], (smooth[i], 0.0))
+    for check in checks:
+        assert check.min_modulus <= dets[i]
+
+
 DENSE_Y = np.concatenate([[-np.inf], np.arctanh(np.linspace(-1 + 1e-6, 1 - 1e-6, 20_000)),
                           [np.inf]])
 

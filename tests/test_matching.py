@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from th_invert import symbols as sy
+from th_invert import matching, symbols as sy
 from th_invert.calculus import _Stretch
+from th_invert.defaults import JUMP_TOL
 from th_invert.errors import NotInvertible, PreconditionViolation
 from th_invert.matching import (
     MatchRejection,
@@ -196,6 +198,34 @@ def test_matrix_values_match_the_entry_trees(u, seed):
             assert close(u.evaluate_matrix(theta, side), entries(CirclePoint(theta), side))
     e = [[sy.evaluate_array(trees[i][j], thetas) for j in range(2)] for i in range(2)]
     assert close(_Stretch(u.a, True).values(thetas), e[0][0] * e[1][1] - e[0][1] * e[1][0])
+
+
+@given(matrix_symbols())
+@example(build_u_matrix_general(TINY_JUMPS, TINY_JUMPS))
+@settings(max_examples=60, deadline=None)
+def test_one_sided_matrices_read_each_value_once(u):
+    # the reference reads all four one-sided pairs of every angle by evaluate_sides
+    angles = {x for f in (u.a, u.b) for x, _, _ in sy._one_sided_at_breaks(f)}
+    reference = {}
+    for angle in sy.dedupe_angles(angles | {CirclePoint(-x).angle for x in angles}):
+        left, right = u._sides(angle)
+        if np.max(np.abs(left - right)) > JUMP_TOL:
+            reference[angle] = (left, right)
+
+    reads = []
+
+    def counted(f, angle):
+        reads.append((f, angle))
+        return sy.evaluate_sides(f, angle)
+
+    with mock.patch.object(matching, "evaluate_sides", counted):
+        table = u._one_sided_matrices()
+    assert list(table) == list(reference)
+    for angle, (left, right) in table.items():
+        assert left.tobytes() == reference[angle][0].tobytes()
+        assert right.tobytes() == reference[angle][1].tobytes()
+    assert len(set(reads)) == len(reads)
+    assert not [(f, x) for f, x in reads if x in {y for y, _, _ in sy._one_sided_at_breaks(f)}]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import hankel as scipy_hankel, toeplitz as scipy_toeplitz
 
 from th_invert import sections
 from th_invert import symbols as sy
@@ -28,7 +29,7 @@ from th_invert.sections import (
     verify_product_identities,
 )
 from th_invert.symbols import (CirclePoint, Const, Monomial, PiecewiseConst, PowerArc,
-                               fourier_coefficient)
+                               coefficient_range, fourier_coefficient)
 
 from conftest import dense_compression
 
@@ -103,6 +104,26 @@ def test_hankel_antidiagonal_constancy():
     for s in range(19):
         anti = [m[j, s - j] for j in range(max(0, s - 9), min(10, s + 1))]
         assert np.max(np.abs(np.array(anti) - anti[0])) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 256])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sections_equal_the_dense_scipy_sections(n, sign):
+    # the strided views, copied or summed, against scipy's own copies
+    a = quarter_twist()
+    b = sy.product(PowerArc(0.25 + 0.1j, CirclePoint(2.0)), Monomial(-2))
+    ca, cb = coefficient_range(a, -(n - 1), n - 1), coefficient_range(b, 1, 2 * n - 1)
+    t = scipy_toeplitz(ca[n - 1:], ca[n - 1::-1])
+    h = scipy_hankel(cb[:n], cb[n - 1:])
+    ref = t + h if sign > 0 else t - h
+    assert toeplitz_matrix(a, n).entries.tobytes() == t.tobytes()
+    assert hankel_matrix(b, n).entries.tobytes() == h.tobytes()
+    section = th_section(a, b, sign, n).entries
+    assert section.flags.c_contiguous and section.flags.writeable
+    assert section.tobytes() == ref.tobytes()
+    out = np.full((n, n), np.nan, dtype=complex)
+    assert th_section(a, b, sign, n, out=out).entries is out
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_adjoint_section_is_conjugate_transpose():
@@ -505,6 +526,11 @@ def test_non_finite_sections_are_refused(bad):
             fn(entries)
 
 
+def _used_gram(n: int) -> np.ndarray:
+    """An F-ordered n x n buffer left full of NaN, as a reused one may be."""
+    return np.full((n, n), np.nan, dtype=complex).T
+
+
 @given(st.integers(1, 24), st.floats(0.5, 1.0, exclude_max=True),
        st.floats(-8, 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
@@ -515,14 +541,18 @@ def test_gram_certificate_never_certifies_below_the_floor(n, frac, log_top, seed
     values = np.sort(np.exp(rng.uniform(np.log(smallest), np.log(max(10.0 ** log_top,
                                                                      smallest)), n)))
     values[0] = smallest
-    assert not sections._certified_full_rank(_planted(values, True, seed), floor)
+    entries = _planted(values, True, seed)
+    assert not sections._certified_full_rank(entries, floor)
+    assert not sections._certified_full_rank(entries, floor, _used_gram(n))
 
 
 def test_gram_certificate_certifies_well_conditioned_sections():
     a = quarter_twist()
     floor = 2 * SV_THRESHOLD
     assert sections._certified_full_rank(np.eye(3), floor)
-    assert sections._certified_full_rank(th_section(a, a * Monomial(1), 1, 256).entries, floor)
+    section = th_section(a, a * Monomial(1), 1, 256).entries
+    assert sections._certified_full_rank(section, floor)
+    assert sections._certified_full_rank(section, floor, _used_gram(256))
     assert not sections._certified_full_rank(np.eye(3)[:2], floor)   # not square
     assert not sections._certified_full_rank(np.diag([1.0, 1e-9]), floor)
 
@@ -543,6 +573,61 @@ def test_section_kernel_counts_with_the_configured_threshold():
     assert Analysis(pair, 1.5).section_kernel(1) == 0
     loose = Analysis(pair, 1.5, Tolerances(sv_threshold=1e-3))
     assert loose.section_kernel(1) == numerical_kernel(entries, 1e-3).dimension == 1
+
+
+def _shift3_pair():
+    a = quarter_twist()
+    return make_matching_pair(a, a * Monomial(3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_section_kernel_counts_each_sign_as_kernel_dimension(seed):
+    pair = _shift3_pair() if seed == 0 else random_matching_pair(np.random.default_rng(seed))
+    an = Analysis(pair, 2.0)
+    for sign in (-1, 1):
+        assert an.section_kernel(sign) == kernel_dimension(th_section(pair.a, pair.b, sign, 256))
+
+
+def test_both_section_kernels_share_one_read_and_one_workspace(monkeypatch):
+    reads, outs = [], []
+    coefficients, build = sections.coefficient_range, sections.th_section
+
+    def counted(*args, **kwargs):
+        reads.append(args[1:3])
+        return coefficients(*args, **kwargs)
+
+    def recorded(*args, out=None, **kwargs):
+        outs.append(out)
+        return build(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(sections, "coefficient_range", counted)
+    monkeypatch.setattr(sections, "th_section", recorded)
+    sections._section_views.cache_clear()
+    an = Analysis(_shift3_pair(), 2.0)
+    assert (an.section_kernel(-1), an.section_kernel(1)) == (2, 1)
+    assert reads == [(-255, 255), (1, 511)]
+    assert len(outs) == 2 and np.shares_memory(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("refused", [1, -1])
+def test_a_section_refusal_stays_with_its_sign(monkeypatch, refused):
+    # the first count is the plus section's
+    count = sections._kernel_dimension
+    calls = []
+
+    def refuse_one(entries, sv_threshold, gram=None):
+        calls.append(len(calls))
+        if calls[-1] == (0 if refused == 1 else 1):
+            raise NoSpectralGap("planted refusal")
+        return count(entries, sv_threshold, gram)
+
+    monkeypatch.setattr(sections, "_kernel_dimension", refuse_one)
+    an = Analysis(_shift3_pair(), 2.0)
+    for _ in range(2):
+        with pytest.raises(NoSpectralGap, match="planted"):
+            an.section_kernel(refused)
+        assert an.section_kernel(-refused) == (1 if refused == -1 else 2)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
