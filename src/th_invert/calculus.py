@@ -1030,11 +1030,41 @@ def _flip_arc_values(table: Mapping) -> Callable:
 
 
 @lru_cache(maxsize=64)
-def _th_parts(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol, MatrixSymbol]:
-    """(g, b0, U1) of the index splitting of T(a) + H(b), shared by the routes."""
-    g, b0 = split_generating_pair(a, b)
+def _th_parts(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol]:
+    """(g, b0) of the index splitting of T(a) + H(b), shared by the routes."""
+    return split_generating_pair(a, b)
+
+
+def _sign_free(b: PCSymbol) -> PCSymbol:
+    """The one of b and -b with the smaller hash, so the same one for both,
+    when -(-b) is b again, as the normal form of :func:`symbols.product`
+    makes it; else b.  A symbol's hash is made of its numbers alone, so the
+    choice is the same in every run.
+
+    U1 of (a, -b) is D U1 D with D = diag(1, -1) (Boettcher & Silbermann,
+    *Analysis of Toeplitz Operators*, ch. 2: T(D U D) = D T(U) D): its
+    off-diagonal entries are exact negations, its diagonal entries and
+    determinant the same bits, so T(U1) of the two signs have one index."""
+    neg = -b
+    return min(b, neg, key=hash) if -neg == b else b
+
+
+@lru_cache(maxsize=64)
+def _u1_symbol(a: PCSymbol, b: PCSymbol) -> MatrixSymbol:
+    """U1, the general matrix symbol of the pair (a g^-1, (b - b0) g^-1), one
+    instance per (a, b), so that its routes share its one-sided table."""
+    g, b0 = _th_parts(a, b)
     g_inv = sy.inverse(g)
-    return g, b0, build_u_matrix_general(a * g_inv, (b - b0) * g_inv)
+    return build_u_matrix_general(a * g_inv, (b - b0) * g_inv)
+
+
+@lru_cache(maxsize=8)
+def _u1_index(a: PCSymbol, b: PCSymbol, p: HardyExponent, min_modulus_tol: float,
+              route: str) -> Optional[IndexResult]:
+    """ind T(U1) by ``route``; th_index asks for it with :func:`_sign_free`
+    of b, so both signs of b share one closed form or one curve."""
+    return matrix_toeplitz_index(_u1_symbol(a, b), p, min_modulus_tol=min_modulus_tol,
+                                 route=route)
 
 
 def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MIN_MODULUS,
@@ -1054,7 +1084,9 @@ def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MI
     ``route`` as for :func:`toeplitz_index`; under EXACT the index is None
     where the closed form declines on either of them.  The shape of b0 off
     +-1 does not change the index, since H of a continuous function is
-    compact.  The check runs before the split,
+    compact.  U1 of -b is similar to U1 of b (:func:`_sign_free`), so the
+    two signs of b share the index of T(U1) and only the flip part is their
+    own.  The check runs before the split,
     so an a that vanishes at +-1 is refused before its logarithm is taken.
     ``check`` is the th_fredholm_check of (a, b) when the caller already
     has it.
@@ -1065,7 +1097,7 @@ def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MI
         raise NotFredholm(
             f"T(a)+H(b) is not Fredholm on H^{_as_exponent(p).p:g} "
             f"(symbol modulus {check.min_modulus:.2e} at {check.witness})")
-    g, b0, u1 = _th_parts(a, b)
+    g, b0 = _th_parts(a, b)
     pc = _index(lambda: exact_index(_flip_table(g, b0), _Stretch(g, False), _flip_arc, p,
                                     min_modulus_tol),
                 lambda: th_pc_symbol_curve(g, b0, p), min_modulus_tol, route)
@@ -1074,7 +1106,7 @@ def th_index(a: PCSymbol, b: PCSymbol, p, *, min_modulus_tol: float = WINDING_MI
     if not pc.fredholm:
         raise NotFredholm(f"borderline symbol degeneracy: curve minimum modulus "
                           f"{pc.min_modulus:.3e} <= {min_modulus_tol:.1e}")
-    res_u1 = matrix_toeplitz_index(u1, p, min_modulus_tol=min_modulus_tol, route=route)
+    res_u1 = _u1_index(a, _sign_free(b), _as_exponent(p), min_modulus_tol, route)
     if res_u1 is None:
         return None
     ind_u1 = res_u1.require()

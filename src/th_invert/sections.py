@@ -22,7 +22,7 @@ from scipy.linalg.blas import zherk as _zherk
 from scipy.linalg.lapack import zgetrf as _zgetrf, zpotrf as _zpotrf
 
 from .defaults import QUADRATURE_TOL, SPECTRAL_GAP, SV_THRESHOLD
-from .errors import NoSpectralGap, PreconditionViolation
+from .errors import NoSpectralGap, PreconditionViolation, THInvertError
 from .matching import MatchingPair
 from . import symbols as sy
 from .symbols import Monomial, PCSymbol, coefficient_range, laurent_coefficients
@@ -133,14 +133,33 @@ def section_kernel_counter(a: PCSymbol, b: PCSymbol, n: int, tol: float = QUADRA
     matrix of the certificate.  Fresh 1 MB arrays (n = 256) for each call
     are mapped by the allocator and faulted in page by page; the one
     reused block of 2 n^2 entries is not.
+
+    When b_1 .. b_{2n-1} are all zero, the two sections are one array (up
+    to the sign of zero entries): it is counted once, and both signs
+    return its count or raise its refusal.
     """
     work = np.empty((2, n, n), dtype=complex)
+    hankel_free = []  # the (count, refusal) of the one section of a Hankel-free pair
 
     def count(sign: int) -> int:
         section = th_section(a, b, sign, n, tol, out=work[0])
         return _kernel_dimension(_entries(section), sv_threshold, work[1].T)
 
-    return count
+    def counter(sign: int) -> int:
+        hankel = _section_views(a, b, n, tol)[1]
+        if hankel[0].any() or hankel[-1].any():  # rows b_1 .. b_n and b_n .. b_{2n-1}
+            return count(sign)
+        if not hankel_free:
+            try:
+                hankel_free.append((count(1), None))
+            except THInvertError as exc:
+                hankel_free.append((None, exc))
+        value, exc = hankel_free[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return counter
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as bench/run.py pins it, set before numpy is first
+# imported: on a small host a threaded 256-section SVD slows a hundredfold
+# beside any other busy process.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import cmath
 import math
 

@@ -362,8 +362,8 @@ def test_inconsistent_record_raises():
 
 
 def test_cross_check_reads_each_matrix_symbol_once(monkeypatch, quarter_pair):
-    # U of the matrix route and U1 of each sign: every route that reads the
-    # one-sided matrices of a matrix symbol shares one computation
+    # U of the matrix route and U1, which both signs share: every route that
+    # reads the one-sided matrices of a matrix symbol shares one computation
     reads, computed = {}, {}
     one_sided, matrices = MatrixSymbol.one_sided, MatrixSymbol._one_sided_matrices
 
@@ -373,12 +373,13 @@ def test_cross_check_reads_each_matrix_symbol_once(monkeypatch, quarter_pair):
             return fn(self)
         return wrapper
 
-    calculus._th_parts.cache_clear()  # U1 of both signs are built afresh
+    for cache in (calculus._th_parts, calculus._u1_symbol, calculus._u1_index):
+        cache.cache_clear()  # U1 is built afresh
     monkeypatch.setattr(MatrixSymbol, "one_sided", counting(reads, one_sided))
     monkeypatch.setattr(MatrixSymbol, "_one_sided_matrices", counting(computed, matrices))
     cc = cross_check(quarter_pair, 3.0, with_sections=False)
     assert cc.consistent and cc.exact_route == cc.th_route == -1
-    assert len(computed) == 3 and set(computed.values()) == {1}
+    assert len(computed) == 2 and set(computed.values()) == {1}
     assert reads.keys() == computed.keys() and sum(reads.values()) > len(reads)
 
 

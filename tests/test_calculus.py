@@ -43,6 +43,8 @@ from th_invert.errors import (
 from th_invert.symbols import (POINT_ONE, CirclePoint, Const, ExpArcs, Monomial, PiecewiseConst,
                                PowerArc)
 
+from th_invert.sampling import random_matching_pair
+
 from conftest import exp_linear_leaves, max_grid_deviation
 
 TWO_PI = 2 * math.pi
@@ -814,6 +816,7 @@ def test_a_sampled_index_builds_one_curve(monkeypatch):
     assert matrix_toeplitz_index(build_u_matrix(pair), 3.0).fredholm
     assert builds == {"matrix_symbol_curve": 1}
     builds.clear()
+    calculus._u1_index.cache_clear()
     assert isinstance(th_index(pair.a, pair.b, 3.0, min_modulus_tol=1e-7, route=SAMPLED), int)
     assert builds == {"th_pc_symbol_curve": 1, "matrix_symbol_curve": 1}
 
@@ -1030,14 +1033,55 @@ def test_random_refined_curves_match_per_segment_refinement(a, p):
 def test_both_signs_share_the_stretch_values():
     from th_invert.matching import make_matching_pair
 
-    # det U1 = (a g^-1)/(~a ~g^-1) and the flip curve's g do not depend on the sign of b
+    # the flip curve's g does not depend on the sign of b: the second sign
+    # reads its stretch values; det U1 = (a g^-1)/(~a ~g^-1) is read once,
+    # since the second sign takes the first one's index of T(U1)
     a = sy.add(Const(3.0), Monomial(1))
     pair = make_matching_pair(a, a * Monomial(-1))
     calculus._base_stretch.cache_clear()
+    calculus._u1_index.cache_clear()
     for b in (pair.b, -pair.b):
         assert isinstance(th_index(pair.a, b, 3.0, min_modulus_tol=1e-7, route=SAMPLED), int)
     info = calculus._base_stretch.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _outcome(index, *args, **kwargs):
+    """index(*args, **kwargs), or the type of its refusal."""
+    try:
+        return index(*args, **kwargs)
+    except (NotFredholm, CurveThroughOrigin, DegenerateArc, NonIntegerWinding) as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(1.1, 8.0))
+@settings(max_examples=25, deadline=None)
+def test_u1_of_minus_b_is_u1_of_b_conjugated_by_diag_1_minus_1(seed, p):
+    # U1(a g^-1, -b1 g^-1) = D U1(a g^-1, b1 g^-1) D, D = diag(1, -1), bit for
+    # bit: the premise on which both signs of b share one index of T(U1)
+    from test_pinned_outputs import curve_digest
+
+    pair = random_matching_pair(np.random.default_rng(seed))
+    plus, minus = (calculus._u1_symbol.__wrapped__(pair.a, b) for b in (pair.b, -pair.b))
+    assert plus.jump_angles() == minus.jump_angles()
+    diagonal = np.array([[True, False], [False, True]])
+    for sides_plus, sides_minus in zip(plus.one_sided().values(), minus.one_sided().values()):
+        for u, v in zip(sides_plus, sides_minus):
+            assert _bits(u[diagonal]) == _bits(v[diagonal])
+            # exact negations; a zero entry may keep its sign
+            assert np.array_equal(-u[~diagonal], v[~diagonal])
+    curves = [_outcome(calculus.matrix_symbol_curve, u, p) for u in (plus, minus)]
+    if isinstance(curves[0], type):
+        assert curves[0] is curves[1]
+    else:
+        assert curve_digest(curves[0]) == curve_digest(curves[1])
+    for route in (AUTO, EXACT, SAMPLED):
+        assert _outcome(matrix_toeplitz_index, plus, p, min_modulus_tol=1e-7, route=route) \
+            == _outcome(matrix_toeplitz_index, minus, p, min_modulus_tol=1e-7, route=route)
 
 
 def test_a_base_grid_takes_one_stretch_call_and_one_arc_call(monkeypatch):

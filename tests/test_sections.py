@@ -630,6 +630,36 @@ def test_a_section_refusal_stays_with_its_sign(monkeypatch, refused):
     assert len(calls) == 2
 
 
+def test_a_hankel_free_pair_counts_its_one_section_once(monkeypatch):
+    # b = 3 t^-1 + 1 has no coefficient of positive index: both signs give T_n(a)
+    a = sy.add(Const(3.0), Monomial(1))
+    pair = make_matching_pair(a, a * Monomial(-1))
+    assert not coefficient_range(pair.b, 1, 511).any()
+    assert [kernel_dimension(th_section(pair.a, pair.b, sign, 256)) for sign in (1, -1)] == [0, 0]
+    count, calls = sections._kernel_dimension, []
+
+    def counted(entries, sv_threshold, gram=None):
+        calls.append(len(calls))
+        return count(entries, sv_threshold, gram)
+
+    monkeypatch.setattr(sections, "_kernel_dimension", counted)
+    an = Analysis(pair, 2.0)
+    assert (an.section_kernel(-1), an.section_kernel(1)) == (0, 0)
+    assert calls == [0]
+
+    def refused(entries, sv_threshold, gram=None):
+        calls.append(len(calls))
+        raise NoSpectralGap("planted refusal")
+
+    monkeypatch.setattr(sections, "_kernel_dimension", refused)
+    an, refusals = Analysis(pair, 2.0), []
+    for sign in (1, -1, 1, -1):
+        with pytest.raises(NoSpectralGap, match="planted") as exc:
+            an.section_kernel(sign)
+        refusals.append(exc.value)
+    assert calls == [0, 1] and all(r is refusals[0] for r in refusals)
+
+
 # ---------------------------------------------------------------------------
 # coefficient-level application
 # ---------------------------------------------------------------------------
