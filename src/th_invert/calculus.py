@@ -1036,10 +1036,10 @@ def _th_parts(a: PCSymbol, b: PCSymbol) -> tuple[PCSymbol, PCSymbol]:
 
 
 def _sign_free(b: PCSymbol) -> PCSymbol:
-    """The one of b and -b with the smaller hash, so the same one for both,
-    when -(-b) is b again, as the normal form of :func:`symbols.product`
-    makes it; else b.  A symbol's hash is made of its numbers alone, so the
-    choice is the same in every run.
+    """b or -b, whichever has the smaller hash, so that b and -b map to the
+    same symbol; b itself where -(-b) is not b again in the normal form of
+    :func:`symbols.product`.  A symbol's hash is made of its numbers alone,
+    so the choice is the same in every run.
 
     U1 of (a, -b) is D U1 D with D = diag(1, -1) (Boettcher & Silbermann,
     *Analysis of Toeplitz Operators*, ch. 2: T(D U D) = D T(U) D): its
