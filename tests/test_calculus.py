@@ -42,7 +42,6 @@ from th_invert.errors import (
 )
 from th_invert.symbols import (POINT_ONE, CirclePoint, Const, ExpArcs, Monomial, PiecewiseConst,
                                PowerArc)
-
 from th_invert.sampling import random_matching_pair
 
 from conftest import exp_linear_leaves, max_grid_deviation
