@@ -1,6 +1,9 @@
 """Fredholm theory, indices and one-sided invertibility of Toeplitz-plus-Hankel
 operators T(a) + H(b) on Hardy spaces H^p, for piecewise continuous generating
-functions, cross-validated against dense finite sections."""
+functions, cross-validated against dense finite sections.
+
+scipy is imported inside the functions that call it, so importing the
+package loads numpy and no scipy module (tests/test_cold_import.py)."""
 
 from .analyzer import (
     Analysis,

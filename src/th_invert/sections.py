@@ -17,9 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import LinAlgError, lu_solve, solve_toeplitz
-from scipy.linalg.blas import zherk as _zherk
-from scipy.linalg.lapack import zgetrf as _zgetrf, zpotrf as _zpotrf
 
 from .defaults import QUADRATURE_TOL, SPECTRAL_GAP, SV_THRESHOLD
 from .errors import NoSpectralGap, PreconditionViolation, THInvertError
@@ -409,15 +406,18 @@ def _certified_full_rank(entries: np.ndarray, floor: float,
     G is formed and factored in ``gram``, an F-ordered n x n complex
     array, when given.
     """
+    from scipy.linalg.blas import zherk
+    from scipy.linalg.lapack import zpotrf
+
     n = entries.shape[0]
     if entries.shape != (n, n) or not n:
         return False
     a = np.asarray(entries, dtype=complex)
     # a.T is the F-ordered view of A^T: upper triangle of conj(A^H A)
-    gram = _zherk(1.0, a.T, c=gram, overwrite_c=gram is not None)
+    gram = zherk(1.0, a.T, c=gram, overwrite_c=gram is not None)
     shift = floor * floor + _GRAM_SLACK * (n + 2) * _UNIT_ROUNDOFF * gram.diagonal().real.sum()
     gram[np.diag_indices(n)] -= shift
-    return _zpotrf(gram, lower=0, clean=0, overwrite_a=1)[1] == 0
+    return zpotrf(gram, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
 def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray,
@@ -440,6 +440,9 @@ def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray,
     within 4 sin(theta) of the full SVD vector's.  An edge vector counts 0,
     any other 1; a mass within that margin of 1/2 is left to the full SVD.
     """
+    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import zgetrf
+
     n = len(s)
     if entries.shape != (n, n) or n < 2:
         return None
@@ -448,7 +451,7 @@ def _one_dropped_dimension(entries: np.ndarray, s: np.ndarray,
             and s[-2] - d >= SPECTRAL_GAP * (s[-1] + d)):
         return None
     a = np.asarray(entries, dtype=complex)
-    lu, piv, _ = _zgetrf(a)  # LAPACK directly: a singular U is expected, not a warning
+    lu, piv, _ = zgetrf(a)  # LAPACK directly: a singular U is expected, not a warning
     pivots = np.abs(lu.diagonal())
     small = np.flatnonzero(pivots < np.finfo(float).eps * s[0])
     lu[small, small] = np.finfo(float).eps * s[0]
@@ -538,6 +541,8 @@ def _solve_section(coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     partial pivoting attains in practice.  Otherwise, and when a leading
     minor is singular, the dense section is solved by LU.
     """
+    from scipy.linalg import LinAlgError, solve_toeplitz
+
     n = rhs.shape[0]
     try:
         x = solve_toeplitz(_column_and_row(coeffs), rhs)

@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .defaults import GRID_N, INVERTIBILITY_TOL, JUMP_TOL, QUADRATURE_TOL
 from .errors import (
@@ -660,14 +659,20 @@ def jump_set(sym: PCSymbol):
 
 
 def grid_angles(syms: Iterable[PCSymbol] | PCSymbol, n: int = GRID_N) -> np.ndarray:
-    """Equispaced angles joined with every jump angle of the given symbols."""
+    """Equispaced angles joined with every jump angle of the given symbols,
+    sorted, with angles less than 1e-13 apart (cyclically) taken as one."""
     if isinstance(syms, PCSymbol):
         syms = [syms]
-    angles = set(np.linspace(0.0, TWO_PI, n, endpoint=False))
-    for sym in syms:
-        angles |= _breaks(sym)
-    angles |= {0.0, math.pi}
-    return np.array(dedupe_angles(angles, tol=1e-13))
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    breaks = np.array([b for sym in syms for b in _breaks(sym)], dtype=float)
+    angles = np.unique(np.concatenate([base, breaks, [0.0, math.pi]]))
+    # np.unique drops exact repeats only, and may keep a break at -0.0 over the
+    # 0.0 of the base grid: angles that need merging take the set merge
+    if (np.all(np.diff(angles) >= 1e-13) and angles[0] + TWO_PI - angles[-1] >= 1e-13
+            and not np.signbit(breaks).any()):
+        return angles
+    merged = set(base) | set(breaks.tolist()) | {0.0, math.pi}
+    return np.array(dedupe_angles(merged, tol=1e-13))
 
 
 def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -680,7 +685,11 @@ def evaluate_both_sides(sym: PCSymbol, angles: np.ndarray) -> tuple[np.ndarray, 
     right = evaluate_array(sym, angles)
     left = right.copy()
     specials = np.array(sorted(_breaks(sym) | {TWO_PI}))  # 2*pi: the wrap onto 0
-    near = np.min(np.abs(angles[:, None] - specials[None, :]), axis=1) < ANGLE_SNAP
+    # the nearest special is one of the two that bracket the angle
+    j = np.searchsorted(specials, angles)
+    below = specials[np.maximum(j - 1, 0)]
+    above = specials[np.minimum(j, len(specials) - 1)]
+    near = np.minimum(np.abs(angles - below), np.abs(angles - above)) < ANGLE_SNAP
     for i in np.nonzero(near)[0]:
         left[i], right[i] = evaluate_sides(sym, angles[i])
     return left, right
@@ -908,6 +917,8 @@ def _quadrature_coefficient(sym: PCSymbol, n: int, tol: float) -> tuple[complex,
     conservative near resonant frequencies although the values converge),
     the agreement between two successive panel-halving levels.
     """
+    from scipy.integrate import quad
+
     base = dedupe_angles(_breaks(sym)) + [TWO_PI]  # 0 is always a break
 
     previous = None

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma, zeta
 
 from .calculus import toeplitz_index
 from .errors import PreconditionViolation, SeriesDiverges
@@ -114,6 +112,8 @@ def c0_coefficient(beta: float, tail_tol: float = 1e-12,
     with s = 2 - 2*beta > 1.  Returns (value, half-width of the sandwich);
     summation stops once the half-width drops below ``tail_tol``.
     """
+    from scipy.special import gamma, zeta
+
     beta = float(beta)
     if not (0.0 < beta < 0.5):
         raise SeriesDiverges("the squared-term series needs 0 < beta < 1/2")
@@ -150,6 +150,8 @@ def c0_quadrature(beta: float) -> tuple[float, float]:
     of the two factors cancel), so this is the t^0 Fourier coefficient
     computed directly.
     """
+    from scipy.integrate import quad
+
     if not (0.0 < beta < 0.5):
         raise SeriesDiverges("the Fourier integral needs 0 < beta < 1/2")
     val, err = quad(lambda u: (2.0 * math.sin(u)) ** (-2.0 * beta), 0.0, math.pi, limit=400)

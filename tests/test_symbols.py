@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from th_invert import symbols as sy
+from th_invert.defaults import GRID_N
 from th_invert.errors import DivisionBySmallModulus, NotInvertible, PreconditionViolation
 from th_invert.symbols import (
     LEFT,
@@ -206,6 +207,77 @@ def test_jump_set_and_evaluation_share_the_snap(brk, angle):
     jumps = jump_set(a)
     assert [pt.angle for pt, _, _ in jumps] == [angle, 1.0]
     assert (jumps[0][1], jumps[0][2]) == (cmath.exp(1j), 1.0)
+
+
+_BASE_GRIDS = {n: np.linspace(0.0, TWO_PI, n, endpoint=False) for n in (64, GRID_N)}
+
+
+@st.composite
+def grid_breaks(draw, n):
+    """An angle where the grid of ``n`` angles is hard to merge: at or next
+    to a base-grid angle, next to 2*pi, -0.0, or anywhere."""
+    kind = draw(st.sampled_from(["grid", "wrap", "negative zero", "any"]))
+    if kind == "grid":
+        offset = draw(st.sampled_from([0.0, 1e-14, -1e-14, 5e-13, -5e-13]))
+        return float(_BASE_GRIDS[n][draw(st.integers(0, n - 1))]) + offset
+    if kind == "wrap":
+        return TWO_PI - draw(st.floats(0.0, 2e-13))
+    if kind == "negative zero":
+        return -0.0
+    return draw(st.floats(0.0, TWO_PI, exclude_max=True))
+
+
+@st.composite
+def step_symbols(draw, n):
+    """A step function times t, whose breaks are ``grid_breaks``."""
+    breaks = sorted({CirclePoint(b).angle
+                     for b in draw(st.lists(grid_breaks(n), min_size=1, max_size=4))})
+    return sy.product(Monomial(1), PiecewiseConst(tuple(breaks), tuple(range(1, len(breaks) + 1))))
+
+
+def grid_angles_by_set(syms, n):
+    """The grid as a set of angles merged by ``dedupe_angles``: the reference
+    for ``grid_angles``."""
+    angles = set(np.linspace(0.0, TWO_PI, n, endpoint=False))
+    for sym in syms:
+        angles |= sy._breaks(sym)
+    angles |= {0.0, math.pi}
+    return np.array(sy.dedupe_angles(angles, tol=1e-13))
+
+
+@given(st.sampled_from([64, GRID_N]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(step_symbols(n), min_size=1, max_size=3))))
+@example((64, [PiecewiseConst((-0.0, 1.0), (1, 2))]))
+@example((64, [PiecewiseConst((1.0, TWO_PI - 1e-14), (1, 2))]))
+@example((GRID_N, [PiecewiseConst((float(_BASE_GRIDS[GRID_N][5]) + 1e-14,), (1,))]))
+@settings(max_examples=300, deadline=None)
+def test_grid_angles_equal_the_set_merge_bit_for_bit(case):
+    n, syms = case
+    assert sy.grid_angles(syms, n).tobytes() == grid_angles_by_set(syms, n).tobytes()
+
+
+def both_sides_by_distance_matrix(sym, angles):
+    """``evaluate_both_sides`` with the angles near a break found from the
+    whole angle-by-break distance matrix: its reference."""
+    right = sy.evaluate_array(sym, angles)
+    left = right.copy()
+    specials = np.array(sorted(sy._breaks(sym) | {TWO_PI}))
+    near = np.min(np.abs(angles[:, None] - specials[None, :]), axis=1) < sy.ANGLE_SNAP
+    for i in np.nonzero(near)[0]:
+        left[i], right[i] = sy.evaluate_sides(sym, angles[i])
+    return left, right
+
+
+@given(step_symbols(64))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_both_sides_finds_the_angles_near_a_break(sym):
+    breaks = sorted(sy._breaks(sym) | {TWO_PI})
+    angles = np.concatenate([sy.grid_angles(sym, 64),
+                             [b + d for b in breaks
+                              for d in (-2e-12, -1e-12, -5e-13, 5e-13, 1e-12, 2e-12)]])
+    got = sy.evaluate_both_sides(sym, angles)
+    expected = both_sides_by_distance_matrix(sym, angles)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
 def test_reflected_jump_detected_after_tilde():
